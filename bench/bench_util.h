@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cache/cache_geometry.h"
 #include "common/cli.h"
@@ -72,36 +73,6 @@ auditFlag(const CliOptions &options)
     audit.everyFaults = static_cast<unsigned>(
         options.getPositiveInt("audit-every", 1));
     return audit;
-}
-
-/**
- * Append the tracing flags to a bench's known-options list. Only the
- * lifetime Monte Carlo benches (Figs. 9, 12, 13, 14) call this —
- * tracing instruments the trial pipeline, so on every other bench
- * `--trace` stays an unknown option and CliOptions exits(1). Keep it
- * that way: a silently ignored `--trace` is a forensics run that
- * produced no artifact (see also rejectTraceFlags in campaign_flags.h).
- */
-inline std::vector<std::string>
-withTraceFlags(std::vector<std::string> known)
-{
-    known.insert(known.end(), {"trace", "trace-filter"});
-    return known;
-}
-
-/**
- * Append `--mapping` to a bench's known-options list. Only the benches
- * whose results flow through a DRAM address map call this (fig08,
- * ablation_mapping, and the lifetime Monte Carlo benches); everywhere
- * else the strict CliOptions parser keeps `--mapping` an unknown option
- * and exits(1) — a silently ignored mapping flag is a run the operator
- * believes used a different address swizzle than it did.
- */
-inline std::vector<std::string>
-withMappingFlag(std::vector<std::string> known)
-{
-    known.push_back("mapping");
-    return known;
 }
 
 /**
@@ -181,6 +152,14 @@ traceFlag(const CliOptions &options, const std::string &bench_name)
     trace.tracer = std::make_unique<Tracer>(config);
     return trace;
 }
+
+/**
+ * Every flag the coverage benches read (fig10, fig11,
+ * ablation_fault_model, ext_organizations): they sample a faulty-node
+ * population, so they take no lifetime, campaign or worker flags.
+ */
+inline const std::vector<std::string> kCoverageBenchFlags = {
+    "faulty-nodes", "seed", "json"};
 
 /** The paper's LLC: 8MiB, 16-way, 64B lines. */
 inline CacheGeometry

@@ -38,16 +38,13 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.h"
-#include "bench_util.h"
-#include "campaign_flags.h"
+#include "campaign_bench.h"
 #include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/fs.h"
 #include "common/process.h"
 #include "common/table.h"
 #include "fleet/worker_pool.h"
-#include "worker_flags.h"
 
 using namespace relaxfault;
 using namespace relaxfault::bench;

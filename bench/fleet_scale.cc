@@ -15,21 +15,18 @@
  * reference path; bit-identical results) for memory A/B runs.
  * `--workers=N` forks N worker processes over a shared-memory shard
  * ring; `--checkpoint`/`--resume`/`--shards` compose with it exactly as
- * on the fig benches. The JSON artifact reports trials/sec, elapsed
- * time, and parent + per-worker peak RSS.
+ * on the fig benches, and require it (the in-process run is unsharded).
+ * The JSON artifact reports trials/sec, elapsed time, and parent +
+ * per-worker peak RSS.
  */
 
 #include <algorithm>
 #include <iostream>
 #include <thread>
 
-#include "bench_json.h"
-#include "bench_util.h"
-#include "campaign_flags.h"
+#include "campaign_bench.h"
 #include "common/process.h"
 #include "common/table.h"
-#include "obs_flags.h"
-#include "worker_flags.h"
 
 using namespace relaxfault;
 using namespace relaxfault::bench;
@@ -37,17 +34,12 @@ using namespace relaxfault::bench;
 int
 main(int argc, char **argv)
 {
-    const CliOptions options(
-        argc, argv,
-        withObsFlags(withWorkerFlags(withCampaignFlags(
-            {"trials", "seed", "nodes", "threads", "progress", "json",
-             "mode"}))));
+    const CliOptions options(argc, argv, kFleetScaleFlags);
     const auto trials =
         static_cast<unsigned>(options.getPositiveInt("trials", 8));
     const auto seed = static_cast<uint64_t>(options.getInt("seed", 1206));
     const auto nodes =
         static_cast<unsigned>(options.getPositiveInt("nodes", 1000000));
-    rejectMappingFlag(options, "fleet_scale");
     const std::string mode_name = options.getString("mode", "lazy");
     FleetMode mode;
     if (mode_name == "lazy")
@@ -95,6 +87,10 @@ main(int argc, char **argv)
         "nodes=" + std::to_string(nodes) + ",mode=" + mode_name);
     const std::unique_ptr<WorkerCampaignRunner> pool =
         makeWorkerPool(options, "fleet_scale", fingerprint, campaign);
+    if (pool == nullptr && (options.has("checkpoint") ||
+                            options.has("resume") || options.has("shards")))
+        fatal("fleet_scale: --checkpoint/--resume/--shards require "
+              "--workers=N (the in-process fleet run is not sharded)");
     BenchObs obs(options, "fleet_scale", report);
     run.stats = obs.stats();
 
@@ -123,10 +119,6 @@ main(int argc, char **argv)
         shards_resumed = result.shardsResumed;
         stampWorkerRss(report, pool.get());
     } else {
-        if (options.has("checkpoint") || options.has("resume") ||
-            options.has("shards"))
-            warn("fleet_scale: --checkpoint/--resume/--shards apply to "
-                 "worker mode (--workers=N); ignoring");
         summary = simulator.runTrials(trials, factory, seed, run);
         shards_run = 1;
     }

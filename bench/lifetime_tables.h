@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared driver for the lifetime-simulation benches (Figs. 12-14): runs
- * the 16,384-node 6-year Monte Carlo for the no-repair / 1-way / 4-way x
- * {PPR, FreeFault, RelaxFault} matrix under a replacement policy and
- * prints one metric.
+ * The repair-mechanism matrix of the lifetime-simulation benches (Figs.
+ * 12-14): runs the 16,384-node 6-year Monte Carlo for the no-repair /
+ * 1-way / 4-way x {PPR, FreeFault, RelaxFault} matrix under a
+ * replacement policy and prints one metric.
  */
 
 #ifndef RELAXFAULT_BENCH_LIFETIME_TABLES_H
@@ -13,11 +13,8 @@
 #include <iostream>
 #include <vector>
 
-#include "bench_json.h"
-#include "bench_util.h"
-#include "campaign/campaign.h"
+#include "campaign_bench.h"
 #include "common/table.h"
-#include "fleet/worker_pool.h"
 
 namespace relaxfault::bench {
 
@@ -25,26 +22,16 @@ namespace relaxfault::bench {
 using MetricFn = std::function<const RunningStat &(const LifetimeSummary &)>;
 
 /**
- * Run the repair-mechanism matrix of Figs. 12-14 and print `metric` with
- * its 95% CI. `ways` holds the per-set limits evaluated (paper: 1, 4).
- * A non-null @p report receives one result row per mechanism and the
- * run's telemetry flows into its registry. A non-null @p campaign routes
- * every mechanism row through the sharded checkpoint runner (results are
- * bit-identical either way); returns false if a stop signal interrupted
- * the matrix, in which case the table is not printed and the caller
- * should exit with `campaign->exitStatus()` without writing its report.
- * A non-null @p workers distributes each unit's shards over forked
- * worker processes instead (also bit-identical; ignores @p campaign).
+ * Run the repair-mechanism matrix of Figs. 12-14 on @p bench and print
+ * `metric` with its 95% CI. Each mechanism row is one campaign unit
+ * keyed `panel/mechanism`, and adds one result row to the report.
+ * Returns false if a stop signal interrupted the matrix; the table is
+ * then not printed and the caller returns `bench.finish()`.
  */
 inline bool
-runRepairMatrix(const LifetimeConfig &base_config, unsigned trials,
-                uint64_t seed, const MetricFn &metric,
-                const std::string &metric_name,
-                const TrialRunOptions &run_options = {},
-                BenchReport *report = nullptr,
-                const std::string &panel = "",
-                CampaignRunner *campaign = nullptr,
-                WorkerCampaignRunner *workers = nullptr)
+runRepairMatrix(LifetimeBench &bench, const LifetimeConfig &base_config,
+                const MetricFn &metric, const std::string &metric_name,
+                const std::string &panel)
 {
     const DramGeometry geometry = base_config.faultModel.geometry;
     const DramAddressMap address_map =
@@ -69,39 +56,16 @@ runRepairMatrix(const LifetimeConfig &base_config, unsigned trials,
     table.setHeader({"mechanism", metric_name, "95%CI", "vs-no-repair"});
     double baseline = 0.0;
     for (const auto &row : rows) {
-        // Units are keyed panel/mechanism so each matrix cell maps to a
-        // stable set of checkpoint shards (and trace unit labels).
-        const std::string unit =
-            panel.empty() ? row.label : panel + "/" + row.label;
-        TrialRunOptions run = run_options;
-        run.progressLabel = row.label + " trials";
-        if (report != nullptr)
-            run.metrics = report->metrics();
-        if (run.tracer != nullptr)
-            run.traceUnit = run.tracer->registerUnit(unit);
         const LifetimeSimulator::MechanismFactory factory =
             row.spec.kind == MechanismSpec::Kind::None
                 ? LifetimeSimulator::MechanismFactory{}
                 : makeFactory(row.spec, geometry, address_map);
-        LifetimeSummary summary;
-        size_t quarantined = 0;
-        if (workers != nullptr) {
-            const CampaignResult unit_result = workers->runUnit(
-                unit, simulator, factory, trials, seed, run);
-            if (unit_result.interrupted)
-                return false;
-            summary = unit_result.summary;
-            quarantined = unit_result.quarantinedShards.size();
-        } else if (campaign != nullptr) {
-            const CampaignResult unit_result = campaign->runUnit(
-                unit, simulator, factory, trials, seed, run);
-            if (unit_result.interrupted)
-                return false;
-            summary = unit_result.summary;
-        } else {
-            summary = simulator.runTrials(trials, factory, seed, run);
-        }
-        const RunningStat &stat = metric(summary);
+        const CampaignResult unit_result =
+            bench.runUnit(panel + "/" + row.label, simulator, factory,
+                          row.label + " trials");
+        if (unit_result.interrupted)
+            return false;
+        const RunningStat &stat = metric(unit_result.summary);
         if (row.spec.kind == MechanismSpec::Kind::None)
             baseline = stat.mean();
         const double reduction = baseline > 0.0
@@ -111,24 +75,22 @@ runRepairMatrix(const LifetimeConfig &base_config, unsigned trials,
                       row.spec.kind == MechanismSpec::Kind::None
                           ? std::string("-")
                           : "-" + TextTable::num(reduction, 1) + "%"});
-        if (report != nullptr) {
-            ResultRow &json_row = report->addRow();
-            if (!panel.empty())
-                json_row.set("panel", panel);
-            json_row
-                .set("mechanism", row.label)
-                .set("metric", metric_name)
-                .set("mean", stat.mean())
-                .set("ci95", stat.ci95())
-                .set("reduction_vs_no_repair_pct",
-                     row.spec.kind == MechanismSpec::Kind::None
-                         ? 0.0 : reduction);
-            // A quarantined unit's numbers miss those shards' trials;
-            // stamp the row so no one diffs it against a clean run.
-            if (quarantined != 0)
-                json_row.set("quarantined_shards",
-                             static_cast<uint64_t>(quarantined));
-        }
+        ResultRow &json_row = bench.report().addRow();
+        json_row
+            .set("panel", panel)
+            .set("mechanism", row.label)
+            .set("metric", metric_name)
+            .set("mean", stat.mean())
+            .set("ci95", stat.ci95())
+            .set("reduction_vs_no_repair_pct",
+                 row.spec.kind == MechanismSpec::Kind::None
+                     ? 0.0 : reduction);
+        // A quarantined unit's numbers miss those shards' trials;
+        // stamp the row so no one diffs it against a clean run.
+        if (!unit_result.quarantinedShards.empty())
+            json_row.set("quarantined_shards",
+                         static_cast<uint64_t>(
+                             unit_result.quarantinedShards.size()));
     }
     table.print(std::cout);
     return true;

@@ -29,11 +29,6 @@ CliOptions::parse(int argc, char **argv)
     }
 }
 
-CliOptions::CliOptions(int argc, char **argv)
-{
-    parse(argc, argv);
-}
-
 CliOptions::CliOptions(int argc, char **argv,
                        const std::vector<std::string> &known)
 {

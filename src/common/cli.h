@@ -27,13 +27,9 @@ namespace relaxfault {
 class CliOptions
 {
   public:
-    /** Permissive form: any `--name` is accepted (legacy callers). */
-    CliOptions(int argc, char **argv);
-
     /**
-     * Strict form: options not in @p known are fatal. Pass every flag
-     * the program understands; `--help` is implicitly known and lists
-     * them.
+     * Options not in @p known are fatal. Pass every flag the program
+     * understands; `--help` is implicitly known and lists them.
      */
     CliOptions(int argc, char **argv,
                const std::vector<std::string> &known);

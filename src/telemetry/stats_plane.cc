@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <new>
+#include <thread>
 
 #include "common/failpoint.h"
 #include "common/log.h"
@@ -34,6 +35,23 @@ constexpr double kRateAlpha = 0.3;
 
 /** Minimum spacing between rate publishes (keeps /proc reads rare). */
 constexpr uint64_t kRatePublishNs = 250'000'000;  // 250 ms.
+
+/** Seqlock read attempts that pause-spin before the reader yields. */
+constexpr unsigned kReadSpins = 64;
+
+/** How long a reader waits out an odd (write-locked) slot. */
+constexpr uint64_t kReadBudgetNs = 250'000'000;  // 250 ms.
+
+/** Spin-wait hint: lets a sibling hyperthread (the writer) progress. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
 
 } // namespace
 
@@ -240,9 +258,19 @@ StatsPlane::readSlot(size_t index, StatsSlotSample &out) const
     if (index >= slots())
         return false;
     const Slot *s = slot(index);
-    // The monotone counters are single atomics — read outside the
-    // seqlock, they are exact at some instant during the call.
-    for (unsigned attempt = 0; attempt < 1000; ++attempt) {
+    // A writer descheduled mid-frame holds the sequence odd for a whole
+    // time slice, so a bare spin count would report a live slot as torn
+    // on a loaded host. Spin briefly with a pause, then yield until the
+    // budget runs out; only a writer that died mid-frame exhausts it.
+    const uint64_t deadline_ns = steadyNowNs() + kReadBudgetNs;
+    for (unsigned attempt = 0;; ++attempt) {
+        if (attempt >= kReadSpins) {
+            if (steadyNowNs() > deadline_ns)
+                return false;
+            std::this_thread::yield();
+        } else if (attempt > 0) {
+            cpuRelax();
+        }
         const uint64_t seq1 = s->seq.load(std::memory_order_acquire);
         if ((seq1 & 1) != 0)
             continue;
@@ -263,15 +291,18 @@ StatsPlane::readSlot(size_t index, StatsSlotSample &out) const
         const uint64_t seq2 = s->seq.load(std::memory_order_relaxed);
         if (seq1 != seq2)
             continue;
+        // The monotone counters are single atomics read outside the
+        // seqlock. Completed is read first, with acquire: it pairs with
+        // the publisher's release increment, so every start it counts
+        // is visible to the started read and completed <= started.
+        out.trialsCompleted =
+            s->trialsCompleted.load(std::memory_order_acquire);
         out.trialsStarted =
             s->trialsStarted.load(std::memory_order_relaxed);
-        out.trialsCompleted =
-            s->trialsCompleted.load(std::memory_order_relaxed);
         out.heartbeatTick =
             s->heartbeatTick.load(std::memory_order_relaxed);
         return true;
     }
-    return false;
 }
 
 StatsPublisher
@@ -286,7 +317,11 @@ StatsPlane::publisher(size_t index)
 
 namespace {
 
-/** Seqlock write frame: odd on entry, even (new value) on exit. */
+/**
+ * Seqlock write frame: odd on entry, even (new value) on exit. Callers
+ * read /proc before opening it, so the slot is write-locked only for a
+ * few stores.
+ */
 class SeqWrite
 {
   public:
@@ -320,6 +355,7 @@ StatsPublisher::announce(StatsPhase phase)
 {
     if (slot_ == nullptr)
         return;
+    const auto rss = static_cast<uint64_t>(peakRssBytes());
     SeqWrite frame(slot_->seq);
     slot_->pid.store(static_cast<uint64_t>(::getpid()),
                      std::memory_order_relaxed);
@@ -327,8 +363,7 @@ StatsPublisher::announce(StatsPhase phase)
                        std::memory_order_relaxed);
     slot_->armedFailpoints.store(failpoint::armedCount(),
                                  std::memory_order_relaxed);
-    slot_->rssBytes.store(static_cast<uint64_t>(peakRssBytes()),
-                          std::memory_order_relaxed);
+    slot_->rssBytes.store(rss, std::memory_order_relaxed);
     slot_->updateEpochMs.store(runTimestampMs(),
                                std::memory_order_relaxed);
 }
@@ -353,11 +388,11 @@ StatsPublisher::endShard()
     if (slot_ == nullptr)
         return;
     slot_->heartbeatTick.fetch_add(1, std::memory_order_relaxed);
+    const auto rss = static_cast<uint64_t>(peakRssBytes());
     SeqWrite frame(slot_->seq);
     slot_->phase.store(static_cast<uint64_t>(StatsPhase::Idle),
                        std::memory_order_relaxed);
-    slot_->rssBytes.store(static_cast<uint64_t>(peakRssBytes()),
-                          std::memory_order_relaxed);
+    slot_->rssBytes.store(rss, std::memory_order_relaxed);
     slot_->updateEpochMs.store(runTimestampMs(),
                                std::memory_order_relaxed);
 }
@@ -414,13 +449,13 @@ StatsPublisher::maybePublishRate()
     slot_->scratchEwmaBits.store(std::bit_cast<uint64_t>(ewma),
                                  std::memory_order_relaxed);
 
+    const auto rss = static_cast<uint64_t>(peakRssBytes());
     {
         SeqWrite frame(slot_->seq);
         slot_->ewmaMilliTrialsPerSec.store(
             static_cast<uint64_t>(ewma * 1e3),
             std::memory_order_relaxed);
-        slot_->rssBytes.store(static_cast<uint64_t>(peakRssBytes()),
-                              std::memory_order_relaxed);
+        slot_->rssBytes.store(rss, std::memory_order_relaxed);
         slot_->updateEpochMs.store(runTimestampMs(),
                                    std::memory_order_relaxed);
     }

@@ -124,9 +124,11 @@ class StatsPlane
 
     /**
      * Observer: sample slot @p slot. Retries the seqlock until a
-     * consistent snapshot is read (bounded; returns false if the writer
-     * kept the slot write-locked past the retry budget, which only a
-     * crashed-mid-publish writer can cause).
+     * consistent snapshot is read, spinning briefly and then yielding
+     * (bounded by a 250 ms budget; returns false if the writer kept the
+     * slot write-locked past it, which only a crashed-mid-publish writer
+     * can cause). The sample never shows more trials completed than
+     * started.
      */
     bool readSlot(size_t slot, StatsSlotSample &out) const;
 
@@ -234,7 +236,9 @@ class StatsPublisher
     {
         if (slot_ == nullptr)
             return;
-        slot_->trialsCompleted.fetch_add(1, std::memory_order_relaxed);
+        // Release: a reader that sees this completion also sees the
+        // trial's start (StatsPlane::readSlot reads completed first).
+        slot_->trialsCompleted.fetch_add(1, std::memory_order_release);
         slot_->heartbeatTick.fetch_add(1, std::memory_order_relaxed);
         maybePublishRate();
     }

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <csignal>
@@ -35,7 +36,7 @@
 #include "common/log.h"
 #include "common/heartbeat.h"
 #include "common/process.h"
-#include "campaign_flags.h"
+#include "campaign_bench.h"
 #include "fleet/worker_pool.h"
 #include "repair/relaxfault_repair.h"
 #include "sim/lifetime.h"
@@ -211,6 +212,18 @@ TEST(StatsPlane, SeqlockNeverTearsUnderConcurrentWriter)
             pub.endShard();
         }
     });
+    // Stop and join the writer on every exit path: a failed ASSERT
+    // returns early, and a joinable std::thread's destructor terminates.
+    struct WriterGuard
+    {
+        std::atomic<bool> &stop;
+        std::thread &thread;
+        ~WriterGuard()
+        {
+            stop.store(true);
+            thread.join();
+        }
+    } writer_guard{stop, writer};
     StatsSlotSample sample;
     uint64_t last_completed = 0;
     for (int i = 0; i < 20000; ++i) {
@@ -223,8 +236,6 @@ TEST(StatsPlane, SeqlockNeverTearsUnderConcurrentWriter)
         EXPECT_GE(sample.trialsStarted, sample.trialsCompleted);
         last_completed = sample.trialsCompleted;
     }
-    stop.store(true);
-    writer.join();
     std::remove(path.c_str());
 }
 
@@ -776,33 +787,21 @@ TEST(BenchCompare, MarkdownReportCarriesTheVerdict)
 }
 
 // ---------------------------------------------------------------------
-// Flag drift: benches without the plane must hard-reject the flags.
+// Flag surface: benches without the plane must reject the flags.
 
 TEST(ObsFlagDeathTest, UninstrumentedBenchRejectsObsFlags)
 {
-    // The campaign flag list must never drift to include the obs flags:
-    // a bench taking only withCampaignFlags rejects them via the strict
-    // parser.
-    const std::vector<std::string> known =
-        bench::withCampaignFlags({"trials"});
-    for (const std::string &flag : known) {
-        EXPECT_NE(flag, "metrics-out");
-        EXPECT_NE(flag, "profile");
-        EXPECT_NE(flag, "stats-plane");
+    // A bench without the plane leaves the obs flags off its one flag
+    // list, so the strict parser rejects each of them there.
+    const std::vector<std::string> &known = bench::kCoverageBenchFlags;
+    for (const std::string flag : {"metrics-out", "profile", "stats-plane"}) {
+        EXPECT_EQ(std::find(known.begin(), known.end(), flag), known.end());
+        const std::string arg = "--" + flag + "=x";
+        const char *argv[] = {"prog", arg.c_str()};
+        EXPECT_EXIT(CliOptions(2, const_cast<char **>(argv), known),
+                    ::testing::ExitedWithCode(1),
+                    "unknown option --" + flag);
     }
-    const char *argv[] = {"prog", "--metrics-out=x"};
-    EXPECT_EXIT(CliOptions(2, const_cast<char **>(argv), known),
-                ::testing::ExitedWithCode(1),
-                "unknown option --metrics-out");
-}
-
-TEST(ObsFlagDeathTest, RejectObsFlagsIsFatalNotIgnored)
-{
-    const char *argv[] = {"prog", "--stats-plane=x"};
-    const CliOptions options(2, const_cast<char **>(argv),
-                             {"metrics-out", "profile", "stats-plane"});
-    EXPECT_EXIT(bench::rejectObsFlags(options, "fig15_performance"),
-                ::testing::ExitedWithCode(1), "not supported here");
 }
 
 } // namespace

@@ -12,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -23,7 +23,7 @@
 #include <unistd.h>
 
 #include "bench_util.h"
-#include "campaign_flags.h"
+#include "campaign_bench.h"
 #include "campaign/campaign.h"
 #include "repair/relaxfault_repair.h"
 #include "sim/lifetime.h"
@@ -572,7 +572,7 @@ TEST(TraceFlags, TraceFlagBuildsTracerWithDefaults)
     {
         const char *argv[] = {"prog", "--trace"};
         const CliOptions options(2, const_cast<char **>(argv),
-                                 bench::withTraceFlags({}));
+                                 bench::kLifetimeBenchFlags);
         const bench::BenchTrace trace =
             bench::traceFlag(options, "fig12_due_rates");
         ASSERT_NE(trace.get(), nullptr);
@@ -583,7 +583,7 @@ TEST(TraceFlags, TraceFlagBuildsTracerWithDefaults)
         const char *argv[] = {"prog", "--trace=custom.json",
                               "--trace-filter=fault,verdict"};
         const CliOptions options(3, const_cast<char **>(argv),
-                                 bench::withTraceFlags({}));
+                                 bench::kLifetimeBenchFlags);
         const bench::BenchTrace trace =
             bench::traceFlag(options, "fig12_due_rates");
         ASSERT_NE(trace.get(), nullptr);
@@ -594,46 +594,35 @@ TEST(TraceFlags, TraceFlagBuildsTracerWithDefaults)
     {
         const char *argv[] = {"prog"};
         const CliOptions options(1, const_cast<char **>(argv),
-                                 bench::withTraceFlags({}));
+                                 bench::kLifetimeBenchFlags);
         EXPECT_EQ(bench::traceFlag(options, "x").get(), nullptr);
     }
 }
 
 TEST(TraceFlagDeathTest, UntracedBenchRejectsTraceFlags)
 {
-    // The campaign flag list must never drift to include the trace
-    // flags: a bench taking only withCampaignFlags rejects --trace via
-    // the strict parser.
-    const std::vector<std::string> known =
-        bench::withCampaignFlags({"trials"});
-    for (const std::string &flag : known)
-        EXPECT_NE(flag.substr(0, 5), "trace") << flag;
-
-    const char *argv[] = {"prog", "--trace=x.json"};
-    EXPECT_EXIT(CliOptions(2, const_cast<char **>(argv), known),
-                ::testing::ExitedWithCode(1), "unknown option --trace");
-    const char *argv2[] = {"prog", "--trace-filter=fault"};
-    EXPECT_EXIT(CliOptions(2, const_cast<char **>(argv2), known),
-                ::testing::ExitedWithCode(1),
-                "unknown option --trace-filter");
-}
-
-TEST(TraceFlagDeathTest, RejectTraceFlagsIsFatalNotIgnored)
-{
-    // Even if the flags somehow reach a permissive parser, the guard on
-    // non-traced benches dies loudly instead of warn-ignoring.
-    const char *argv[] = {"prog", "--trace"};
-    const CliOptions options(2, const_cast<char **>(argv),
-                             {"trace", "trace-filter"});
-    EXPECT_EXIT(bench::rejectTraceFlags(options, "fig15_performance"),
-                ::testing::ExitedWithCode(1), "not supported here");
+    // Tracing instruments the lifetime trial pipeline only: the other
+    // benches leave the trace flags off their one flag list, so the
+    // strict parser rejects --trace there.
+    for (const auto *known :
+         {&bench::kFleetScaleFlags, &bench::kCoverageBenchFlags}) {
+        for (const std::string &flag : *known)
+            EXPECT_NE(flag.substr(0, 5), "trace") << flag;
+        const char *argv[] = {"prog", "--trace=x.json"};
+        EXPECT_EXIT(CliOptions(2, const_cast<char **>(argv), *known),
+                    ::testing::ExitedWithCode(1), "unknown option --trace");
+        const char *argv2[] = {"prog", "--trace-filter=fault"};
+        EXPECT_EXIT(CliOptions(2, const_cast<char **>(argv2), *known),
+                    ::testing::ExitedWithCode(1),
+                    "unknown option --trace-filter");
+    }
 }
 
 TEST(TraceFlagDeathTest, FilterWithoutTraceIsFatal)
 {
     const char *argv[] = {"prog", "--trace-filter=fault"};
     const CliOptions options(2, const_cast<char **>(argv),
-                             bench::withTraceFlags({}));
+                             bench::kLifetimeBenchFlags);
     EXPECT_EXIT(bench::traceFlag(options, "fig12_due_rates"),
                 ::testing::ExitedWithCode(1),
                 "--trace-filter requires --trace");
@@ -643,7 +632,7 @@ TEST(TraceFlagDeathTest, UnknownFilterKindIsFatal)
 {
     const char *argv[] = {"prog", "--trace", "--trace-filter=bogus"};
     const CliOptions options(3, const_cast<char **>(argv),
-                             bench::withTraceFlags({}));
+                             bench::kLifetimeBenchFlags);
     EXPECT_EXIT(bench::traceFlag(options, "fig12_due_rates"),
                 ::testing::ExitedWithCode(1), "unknown event kind");
 }
@@ -671,7 +660,15 @@ TEST(TracingOverhead, DisabledEmitIsUnderOneNanosecond)
     TraceSink *volatile sink_slot = nullptr;
     constexpr uint64_t kEvents = 1u << 27;
     uint64_t armed = 0;
-    const auto start = std::chrono::steady_clock::now();
+    // Thread CPU time, not wall time: on a loaded host the loop can be
+    // descheduled, and that wait is not the disabled path's cost.
+    const auto thread_cpu_ns = [] {
+        timespec ts{};
+        clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+        return static_cast<double>(ts.tv_sec) * 1e9 +
+               static_cast<double>(ts.tv_nsec);
+    };
+    const double start_ns = thread_cpu_ns();
     for (uint64_t i = 0; i < kEvents; ++i) {
         TraceSink *const sink = sink_slot;
         if (sink != nullptr) {
@@ -679,10 +676,8 @@ TEST(TracingOverhead, DisabledEmitIsUnderOneNanosecond)
             ++armed;
         }
     }
-    const auto elapsed = std::chrono::steady_clock::now() - start;
     const double ns_per_event =
-        std::chrono::duration<double, std::nano>(elapsed).count() /
-        static_cast<double>(kEvents);
+        (thread_cpu_ns() - start_ns) / static_cast<double>(kEvents);
     EXPECT_EQ(armed, 0u);
     EXPECT_LT(ns_per_event, 1.0)
         << "disabled tracing must cost < 1 ns/event";
