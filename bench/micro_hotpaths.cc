@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the hardware-datapath hot paths:
  * the RelaxFault address map, the normal DRAM address map, the faulty-
- * bank-table + tag test (the per-miss filter), the chipkill codecs, and
- * the coalescer merge. These bound the logic the paper argues is cheap
- * enough to hide under a DRAM access.
+ * bank-table + tag test (the per-miss filter), the repair-line tracker's
+ * transactional add, the chipkill codecs, and the coalescer merge. These
+ * bound the logic the paper argues is cheap enough to hide under a DRAM
+ * access.
  *
  * The chipkill/histogram benches run at the active SIMD dispatch level;
  * pin with `RELAXFAULT_SIMD=scalar|sse2|avx2` to A/B the kernels. The
@@ -30,6 +31,7 @@
 #include "core/relaxfault_controller.h"
 #include "dram/address_map.h"
 #include "ecc/chipkill.h"
+#include "repair/line_tracker.h"
 #include "repair/relaxfault_map.h"
 #include "repair/relaxfault_repair.h"
 #include "telemetry/metrics.h"
@@ -120,6 +122,92 @@ BM_FaultyBankFilter(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FaultyBankFilter);
+
+/** The (set, key) lines RelaxFault locks for @p region on one device. */
+std::vector<std::pair<uint64_t, uint64_t>>
+remapLines(const FaultRegion &region)
+{
+    const RelaxFaultMap map(kGeometry, kLlc, true);
+    std::vector<std::pair<uint64_t, uint64_t>> lines;
+    RemapUnit unit{0, 3, 0, 0, 0};
+    region.forEachRemapUnit(
+        kGeometry, [&](unsigned bank, uint32_t row, uint16_t col_group) {
+            unit.bank = bank;
+            unit.row = row;
+            unit.colGroup = col_group;
+            const RemapLocation loc = map.locate(unit);
+            lines.emplace_back(loc.set, loc.key(map.setBits()));
+        });
+    return lines;
+}
+
+/** One lock-and-release of @p lines per iteration (tryAdd + reset). */
+void
+runTrackerAdds(benchmark::State &state,
+               const std::vector<std::pair<uint64_t, uint64_t>> &lines)
+{
+    RepairLineTracker tracker(kLlc.sets(), RepairBudget{4, 32768});
+    for (auto _ : state) {
+        if (!tracker.tryAdd(lines)) {
+            state.SkipWithError("fault does not fit the budget");
+            break;
+        }
+        tracker.reset();
+    }
+}
+
+void
+BM_LineTrackerTryAddRowFault(benchmark::State &state)
+{
+    // A whole-row fault: 16 remap units, spread over 16 sets.
+    RegionCluster cluster;
+    cluster.bankMask = 1u << 2;
+    cluster.rows = RowSet::of({12345});
+    cluster.cols = ColSet::allCols();
+    runTrackerAdds(state, remapLines(FaultRegion({cluster})));
+}
+BENCHMARK(BM_LineTrackerTryAddRowFault);
+
+void
+BM_LineTrackerTryAddColumnFault(benchmark::State &state)
+{
+    // One bitline down a whole 512-row subarray: 512 remap units.
+    RegionCluster cluster;
+    cluster.bankMask = 1u << 5;
+    std::vector<uint32_t> rows;
+    for (uint32_t row = 0; row < 512; ++row)
+        rows.push_back(4096 + row);
+    cluster.rows = RowSet::of(std::move(rows));
+    cluster.cols = ColSet::of({77});
+    cluster.bitMask = 1u << 9;
+    runTrackerAdds(state, remapLines(FaultRegion({cluster})));
+}
+BENCHMARK(BM_LineTrackerTryAddColumnFault);
+
+void
+BM_LineTrackerTryAddRejected(benchmark::State &state)
+{
+    // A whole-bank fault would be the natural third shape, but repair
+    // rejects it on its massive() pre-check before it reaches the
+    // tracker. This row times the rollback path instead: under a 1-way
+    // budget, a row fault plus one extra key in the set its last line
+    // fills, so all 16 staged lines are undone on every call.
+    RegionCluster cluster;
+    cluster.bankMask = 1u << 2;
+    cluster.rows = RowSet::of({12345});
+    cluster.cols = ColSet::allCols();
+    std::vector<std::pair<uint64_t, uint64_t>> lines =
+        remapLines(FaultRegion({cluster}));
+    lines.emplace_back(lines.back().first, ~uint64_t{0});
+    RepairLineTracker tracker(kLlc.sets(), RepairBudget{1, 32768});
+    for (auto _ : state) {
+        if (tracker.tryAdd(lines)) {
+            state.SkipWithError("overflowing batch was accepted");
+            break;
+        }
+    }
+}
+BENCHMARK(BM_LineTrackerTryAddRejected);
 
 void
 BM_ChipkillEncodeLine(benchmark::State &state)

@@ -112,10 +112,9 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
           "per-set loads sum to " + std::to_string(load_sum) +
               " but usedLines is " +
               std::to_string(tracker.usedLines()));
-    check(report,
-          tracker.allocatedKeys().size() == tracker.usedLines(),
-          "load_accounting",
-          std::to_string(tracker.allocatedKeys().size()) +
+    const std::vector<uint64_t> keys = tracker.sortedKeys();
+    check(report, keys.size() == tracker.usedLines(), "load_accounting",
+          std::to_string(keys.size()) +
               " allocated keys vs usedLines " +
               std::to_string(tracker.usedLines()));
 
@@ -127,7 +126,7 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
     std::vector<uint16_t> recomputed(sets, 0);
     uint64_t bad_keys = 0;
     uint64_t bad_example = 0;
-    for (const uint64_t key : tracker.allocatedKeys()) {
+    for (const uint64_t key : keys) {
         RemapLocation loc;
         loc.set = key & maskBits(set_bits);
         loc.tag = key >> set_bits;
@@ -192,13 +191,13 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
     }
     uint64_t missing = 0;
     for (const uint64_t key : expected)
-        missing += tracker.contains(key) ? 0 : 1;
+        missing += tracker.contains(key & maskBits(set_bits), key) ? 0 : 1;
     check(report, missing == 0, "coverage",
           std::to_string(missing) +
               " unit(s) of repaired faults have no allocated line");
     if (strict_attribution) {
         uint64_t orphans = 0;
-        for (const uint64_t key : tracker.allocatedKeys())
+        for (const uint64_t key : keys)
             orphans += expected.count(key) != 0 ? 0 : 1;
         check(report, orphans == 0, "orphan_lines",
               std::to_string(orphans) +
@@ -263,10 +262,9 @@ InvariantAuditor::auditFreeFault(const FreeFaultRepair &repair,
           "per-set loads sum to " + std::to_string(load_sum) +
               " but usedLines is " +
               std::to_string(tracker.usedLines()));
-    check(report,
-          tracker.allocatedKeys().size() == tracker.usedLines(),
-          "load_accounting",
-          std::to_string(tracker.allocatedKeys().size()) +
+    const std::vector<uint64_t> keys = tracker.sortedKeys();
+    check(report, keys.size() == tracker.usedLines(), "load_accounting",
+          std::to_string(keys.size()) +
               " allocated keys vs usedLines " +
               std::to_string(tracker.usedLines()));
 
@@ -275,7 +273,7 @@ InvariantAuditor::auditFreeFault(const FreeFaultRepair &repair,
     // out-of-image address or a per-set load mismatch.
     std::vector<uint16_t> recomputed(sets, 0);
     uint64_t bad_keys = 0;
-    for (const uint64_t key : tracker.allocatedKeys()) {
+    for (const uint64_t key : keys) {
         if (key >= line_limit) {
             ++bad_keys;
             continue;
@@ -311,13 +309,15 @@ InvariantAuditor::auditFreeFault(const FreeFaultRepair &repair,
         }
     }
     uint64_t missing = 0;
-    for (const uint64_t key : expected)
-        missing += tracker.contains(key) ? 0 : 1;
+    for (const uint64_t key : expected) {
+        const uint64_t set = repair.indexer().setIndex(key << offset_bits);
+        missing += tracker.contains(set, key) ? 0 : 1;
+    }
     check(report, missing == 0, "coverage",
           std::to_string(missing) +
               " line(s) of repaired faults have no allocated entry");
     uint64_t orphans = 0;
-    for (const uint64_t key : tracker.allocatedKeys())
+    for (const uint64_t key : keys)
         orphans += expected.count(key) != 0 ? 0 : 1;
     check(report, orphans == 0, "orphan_lines",
           std::to_string(orphans) +
@@ -343,9 +343,11 @@ InvariantAuditor::auditController(
 
     // Remap data store: only allocated lines may hold remap data.
     const RepairLineTracker &tracker = controller.repair().tracker();
+    const unsigned set_bits = controller.repair().map().setBits();
     uint64_t unallocated = 0;
     for (const uint64_t key : controller.remapStoreKeys())
-        unallocated += tracker.contains(key) ? 0 : 1;
+        unallocated +=
+            tracker.contains(key & maskBits(set_bits), key) ? 0 : 1;
     check(report, unallocated == 0, "remap_store",
           std::to_string(unallocated) +
               " remap-store line(s) were never allocated");

@@ -97,9 +97,10 @@ Gf256Batched::lineSyndromesAvx2(const uint8_t *line)
     for (unsigned bit = 0; bit < 8; ++bit) {
         const __m256i bit_mask = _mm256_set1_epi8(
             static_cast<char>(1u << bit));
-        const __m256i plane0 = _mm256_load_si256(
+        // Rows are 72 bytes, so only row 0 is 32-byte aligned.
+        const __m256i plane0 = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(kPlanes.bytes[bit]));
-        const __m256i plane1 = _mm256_load_si256(
+        const __m256i plane1 = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(kPlanes.bytes[bit] + 32));
 
         const __m256i select0 = _mm256_cmpeq_epi8(

@@ -156,65 +156,25 @@ FaultRegion::remapUnitCount(const DramGeometry &geometry) const
 }
 
 void
-FaultRegion::forEachSlice(
-    const DramGeometry &geometry,
-    const std::function<void(unsigned, uint32_t, uint16_t)> &visit) const
-{
-    for (const auto &cluster : clusters_) {
-        for (unsigned bank = 0; bank < geometry.banksPerDevice; ++bank) {
-            if (!(cluster.bankMask & (1u << bank)))
-                continue;
-            const uint64_t row_count = cluster.rows.count(geometry);
-            for (uint64_t ri = 0; ri < row_count; ++ri) {
-                const uint32_t row = cluster.rows.all
-                    ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
-                const uint64_t col_count = cluster.cols.count(geometry);
-                for (uint64_t ci = 0; ci < col_count; ++ci) {
-                    const uint16_t col = cluster.cols.all
-                        ? static_cast<uint16_t>(ci) : cluster.cols.cols[ci];
-                    visit(bank, row, col);
-                }
-            }
-        }
-    }
-}
-
-void
-FaultRegion::forEachRemapUnit(
-    const DramGeometry &geometry,
-    const std::function<void(unsigned, uint32_t, uint16_t)> &visit) const
+FaultRegion::columnGroups(const ColSet &cols, const DramGeometry &geometry,
+                          std::vector<uint16_t> &groups)
 {
     const unsigned cols_per_unit =
         geometry.lineBytes / geometry.bytesPerDevicePerLine();
-    const unsigned all_groups =
-        (geometry.colBlocksPerRow + cols_per_unit - 1) / cols_per_unit;
-    for (const auto &cluster : clusters_) {
-        // Distinct column groups of this cluster.
-        std::vector<uint16_t> groups;
-        if (cluster.cols.all) {
-            groups.resize(all_groups);
-            for (unsigned g = 0; g < all_groups; ++g)
-                groups[g] = static_cast<uint16_t>(g);
-        } else {
-            uint32_t last_group = ~0u;
-            for (const auto col : cluster.cols.cols) {
-                const uint32_t group = col / cols_per_unit;
-                if (group != last_group) {
-                    groups.push_back(static_cast<uint16_t>(group));
-                    last_group = group;
-                }
-            }
-        }
-        for (unsigned bank = 0; bank < geometry.banksPerDevice; ++bank) {
-            if (!(cluster.bankMask & (1u << bank)))
-                continue;
-            const uint64_t row_count = cluster.rows.count(geometry);
-            for (uint64_t ri = 0; ri < row_count; ++ri) {
-                const uint32_t row = cluster.rows.all
-                    ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
-                for (const auto group : groups)
-                    visit(bank, row, group);
-            }
+    groups.clear();
+    if (cols.all) {
+        const unsigned all_groups =
+            (geometry.colBlocksPerRow + cols_per_unit - 1) / cols_per_unit;
+        for (unsigned g = 0; g < all_groups; ++g)
+            groups.push_back(static_cast<uint16_t>(g));
+        return;
+    }
+    uint32_t last_group = ~0u;
+    for (const auto col : cols.cols) {
+        const uint32_t group = col / cols_per_unit;
+        if (group != last_group) {
+            groups.push_back(static_cast<uint16_t>(group));
+            last_group = group;
         }
     }
 }

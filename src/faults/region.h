@@ -15,7 +15,6 @@
 #define RELAXFAULT_FAULTS_REGION_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "dram/geometry.h"
@@ -96,16 +95,21 @@ class FaultRegion
     uint64_t remapUnitCount(const DramGeometry &geometry) const;
 
     /** Visit every affected (bank, row, colBlock). */
-    void forEachSlice(
-        const DramGeometry &geometry,
-        const std::function<void(unsigned bank, uint32_t row,
-                                 uint16_t colBlock)> &visit) const;
+    template <typename Visit>
+    void forEachSlice(const DramGeometry &geometry, Visit &&visit) const;
 
     /** Visit every affected remap unit (bank, row, colGroup). */
-    void forEachRemapUnit(
-        const DramGeometry &geometry,
-        const std::function<void(unsigned bank, uint32_t row,
-                                 uint16_t colGroup)> &visit) const;
+    template <typename Visit>
+    void forEachRemapUnit(const DramGeometry &geometry,
+                          Visit &&visit) const;
+
+    /**
+     * Distinct remap-unit column groups (colBlock / 16) of @p cols in
+     * ascending order, written to @p groups (previous contents dropped).
+     */
+    static void columnGroups(const ColSet &cols,
+                             const DramGeometry &geometry,
+                             std::vector<uint16_t> &groups);
 
     /** Faulty-bit mask of one slice (0 if the slice is healthy). */
     uint32_t sliceMask(unsigned bank, uint32_t row, uint16_t col_block)
@@ -157,6 +161,51 @@ class FaultRegion
   private:
     std::vector<RegionCluster> clusters_;
 };
+
+template <typename Visit>
+void
+FaultRegion::forEachSlice(const DramGeometry &geometry, Visit &&visit) const
+{
+    for (const auto &cluster : clusters_) {
+        for (unsigned bank = 0; bank < geometry.banksPerDevice; ++bank) {
+            if (!(cluster.bankMask & (1u << bank)))
+                continue;
+            const uint64_t row_count = cluster.rows.count(geometry);
+            for (uint64_t ri = 0; ri < row_count; ++ri) {
+                const uint32_t row = cluster.rows.all
+                    ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
+                const uint64_t col_count = cluster.cols.count(geometry);
+                for (uint64_t ci = 0; ci < col_count; ++ci) {
+                    const uint16_t col = cluster.cols.all
+                        ? static_cast<uint16_t>(ci) : cluster.cols.cols[ci];
+                    visit(bank, row, col);
+                }
+            }
+        }
+    }
+}
+
+template <typename Visit>
+void
+FaultRegion::forEachRemapUnit(const DramGeometry &geometry,
+                              Visit &&visit) const
+{
+    std::vector<uint16_t> groups;
+    for (const auto &cluster : clusters_) {
+        columnGroups(cluster.cols, geometry, groups);
+        for (unsigned bank = 0; bank < geometry.banksPerDevice; ++bank) {
+            if (!(cluster.bankMask & (1u << bank)))
+                continue;
+            const uint64_t row_count = cluster.rows.count(geometry);
+            for (uint64_t ri = 0; ri < row_count; ++ri) {
+                const uint32_t row = cluster.rows.all
+                    ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
+                for (const auto group : groups)
+                    visit(bank, row, group);
+            }
+        }
+    }
+}
 
 } // namespace relaxfault
 

@@ -69,7 +69,8 @@ FreeFaultRepair::publishTelemetry(MetricRegistry &registry) const
 bool
 FreeFaultRepair::lineRepaired(uint64_t pa) const
 {
-    return tracker_.contains(pa >> map_.geometry().offsetBits());
+    return tracker_.contains(indexer_.setIndex(pa),
+                             pa >> map_.geometry().offsetBits());
 }
 
 } // namespace relaxfault

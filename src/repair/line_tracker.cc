@@ -1,14 +1,22 @@
 #include "repair/line_tracker.h"
 
-#include <algorithm>
+#include <sys/mman.h>
 
+#include <cerrno>
+#include <cstring>
+#include <string>
+
+#include "common/log.h"
 #include "telemetry/metrics.h"
 
 namespace relaxfault {
 
 RepairLineTracker::RepairLineTracker(uint64_t sets,
                                      const RepairBudget &budget)
-    : budget_(budget), load_(sets, 0)
+    : budget_(budget),
+      ways_(static_cast<unsigned>(
+          std::min<uint64_t>(budget.maxWaysPerSet, budget.maxLines))),
+      load_(sets, 0)
 {
 }
 
@@ -16,33 +24,51 @@ bool
 RepairLineTracker::tryAdd(
     const std::vector<std::pair<uint64_t, uint64_t>> &lines)
 {
-    // Stage: find genuinely new keys and prospective per-set loads.
-    std::unordered_map<uint64_t, unsigned> set_increase;
-    std::unordered_set<uint64_t> new_keys;
-    for (const auto &[set, key] : lines) {
-        if (allocated_.count(key) || new_keys.count(key))
-            continue;
-        new_keys.insert(key);
-        ++set_increase[set];
+    // Most mechanisms are built and never asked to repair, so the table
+    // is mapped on first use and never filled: only slots below a set's
+    // load are read, and the kernel backs just the pages those touch. A
+    // private mapping rather than the heap: freeing a large malloc'd
+    // block raises glibc's mmap threshold and moves every later
+    // allocation of the process.
+    if (!keys_) {
+        const size_t bytes =
+            std::max<size_t>(load_.size() * ways_ * sizeof(uint64_t), 1);
+        void *table = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (table == MAP_FAILED)
+            fatal("repair line tracker: cannot map " +
+                  std::to_string(bytes) + " bytes: " +
+                  std::strerror(errno));
+        keys_ = std::unique_ptr<uint64_t[], Unmap>(
+            static_cast<uint64_t *>(table), Unmap{bytes});
     }
 
-    if (usedLines_ + new_keys.size() > budget_.maxLines)
-        return false;
-    for (const auto &[set, increase] : set_increase) {
-        if (load_[set] + increase > budget_.maxWaysPerSet)
+    // Stage each genuinely new key behind its set's committed keys; a
+    // later duplicate in the same batch then finds it by the same scan.
+    staged_.clear();
+    const size_t touched_mark = touched_.size();
+    for (const auto &[set, key] : lines) {
+        uint64_t *row = keys_.get() + set * ways_;
+        const unsigned n = filled(set);
+        if (std::find(row, row + n, key) != row + n)
+            continue;
+        if (load_[set] >= ways_ ||
+            usedLines_ + staged_.size() >= budget_.maxLines) {
+            // Roll back exactly what this call staged.
+            for (const uint64_t staged_set : staged_)
+                --load_[staged_set];
+            touched_.resize(touched_mark);
             return false;
+        }
+        if (load_[set] == 0)
+            touched_.push_back(set);
+        row[load_[set]++] = key;
+        staged_.push_back(set);
     }
 
-    // Commit.
-    for (const auto &[set, key] : lines) {
-        if (!new_keys.count(key))
-            continue;
-        new_keys.erase(key);
-        allocated_.insert(key);
-        ++load_[set];
+    usedLines_ += staged_.size();
+    for (const uint64_t set : staged_)
         maxWaysUsed_ = std::max<unsigned>(maxWaysUsed_, load_[set]);
-        ++usedLines_;
-    }
     return true;
 }
 
@@ -62,7 +88,14 @@ RepairLineTracker::publishSetLoads(Log2Histogram &hist) const
 std::vector<uint64_t>
 RepairLineTracker::sortedKeys() const
 {
-    std::vector<uint64_t> keys(allocated_.begin(), allocated_.end());
+    std::vector<uint64_t> keys;
+    if (!keys_)
+        return keys;
+    keys.reserve(usedLines_);
+    for (uint64_t set = 0; set < sets(); ++set) {
+        const uint64_t *row = keys_.get() + set * ways_;
+        keys.insert(keys.end(), row, row + filled(set));
+    }
     std::sort(keys.begin(), keys.end());
     return keys;
 }
@@ -70,18 +103,43 @@ RepairLineTracker::sortedKeys() const
 bool
 RepairLineTracker::corruptReplaceKey(uint64_t old_key, uint64_t new_key)
 {
-    if (allocated_.count(old_key) == 0 || allocated_.count(new_key) != 0)
+    if (!keys_)
         return false;
-    allocated_.erase(old_key);
-    allocated_.insert(new_key);
+    uint64_t *old_slot = nullptr;
+    for (uint64_t set = 0; set < sets(); ++set) {
+        uint64_t *row = keys_.get() + set * ways_;
+        for (unsigned way = 0; way < filled(set); ++way) {
+            if (row[way] == new_key)
+                return false;
+            if (row[way] == old_key)
+                old_slot = &row[way];
+        }
+    }
+    if (old_slot == nullptr)
+        return false;
+    *old_slot = new_key;
     return true;
+}
+
+void
+RepairLineTracker::corruptSetLoad(uint64_t set, uint16_t value)
+{
+    touched_.push_back(set);
+    load_[set] = value;
+}
+
+void
+RepairLineTracker::Unmap::operator()(uint64_t *table) const
+{
+    ::munmap(table, bytes);
 }
 
 void
 RepairLineTracker::reset()
 {
-    std::fill(load_.begin(), load_.end(), 0);
-    allocated_.clear();
+    for (const uint64_t set : touched_)
+        load_[set] = 0;
+    touched_.clear();
     usedLines_ = 0;
     maxWaysUsed_ = 0;
 }

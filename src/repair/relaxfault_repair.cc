@@ -111,7 +111,7 @@ bool
 RelaxFaultRepair::unitRepaired(const RemapUnit &unit) const
 {
     const RemapLocation loc = map_.locate(unit);
-    return tracker_.contains(loc.key(map_.setBits()));
+    return tracker_.contains(loc.set, loc.key(map_.setBits()));
 }
 
 } // namespace relaxfault

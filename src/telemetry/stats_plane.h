@@ -78,7 +78,7 @@ class StatsPlane
 {
   public:
     static constexpr uint64_t kMagic = 0x31534154'53465258ull; // "XRFSTATS1"
-    static constexpr uint32_t kVersion = 1;
+    static constexpr uint32_t kVersion = 2;
     static constexpr size_t kMaxSlots = 256;
     static constexpr size_t kCampaignBytes = 64;
 
@@ -145,19 +145,6 @@ class StatsPlane
   private:
     friend class StatsPublisher;
 
-    struct Header
-    {
-        std::atomic<uint64_t> magic;
-        std::atomic<uint32_t> version;
-        std::atomic<uint32_t> slotCount;
-        std::atomic<uint32_t> slotStride;
-        std::atomic<uint32_t> reserved;
-        std::atomic<uint64_t> ownerPid;
-        std::atomic<uint64_t> startEpochMs;
-        std::atomic<uint64_t> quarantinedShards;
-        char campaign[kCampaignBytes];
-    };
-
     struct alignas(128) Slot
     {
         std::atomic<uint64_t> seq;       ///< Seqlock word (even = stable).
@@ -180,6 +167,24 @@ class StatsPlane
         std::atomic<uint64_t> scratchLastCompleted;
         std::atomic<uint64_t> scratchEwmaBits;   ///< double bit-cast.
     };
+
+    // Padded to the slot alignment so the slots that follow it in the
+    // mapping start aligned.
+    struct alignas(alignof(Slot)) Header
+    {
+        std::atomic<uint64_t> magic;
+        std::atomic<uint32_t> version;
+        std::atomic<uint32_t> slotCount;
+        std::atomic<uint32_t> slotStride;
+        std::atomic<uint32_t> reserved;
+        std::atomic<uint64_t> ownerPid;
+        std::atomic<uint64_t> startEpochMs;
+        std::atomic<uint64_t> quarantinedShards;
+        char campaign[kCampaignBytes];
+    };
+
+    static_assert(sizeof(Header) % alignof(Slot) == 0,
+                  "slots must start aligned after the header");
 
     static_assert(std::atomic<uint64_t>::is_always_lock_free,
                   "stats plane requires lock-free 64-bit atomics");

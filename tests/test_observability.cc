@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cctype>
 #include <csignal>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -166,6 +167,30 @@ TEST(StatsPlane, AttachValidatesForeignBytes)
     EXPECT_EQ(StatsPlane::attach(junk, &error), nullptr);
     EXPECT_FALSE(error.empty());
     std::remove(junk.c_str());
+}
+
+TEST(StatsPlane, AttachRefusesAnOlderLayoutVersion)
+{
+    // Version 1 planes had an unpadded header, so their slots sit at
+    // other offsets; an observer must refuse them, not misparse them.
+    const std::string path = tempPath("plane_v1");
+    {
+        StatsPlane plane = StatsPlane::create(path, 1, "old_layout");
+    }
+    const uint32_t old_version = 1;
+    std::FILE *file = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(file, nullptr);
+    // The version word follows the 8-byte magic.
+    ASSERT_EQ(std::fseek(file, sizeof(uint64_t), SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&old_version, sizeof(old_version), 1, file), 1u);
+    ASSERT_EQ(std::fclose(file), 0);
+
+    std::string error;
+    EXPECT_EQ(StatsPlane::attach(path, &error), nullptr);
+    EXPECT_NE(error.find("unsupported stats plane version 1"),
+              std::string::npos)
+        << error;
+    std::remove(path.c_str());
 }
 
 TEST(StatsPlane, ObserverAttachSeesWriterUpdates)

@@ -2,7 +2,8 @@
  * @file
  * Tests for the repair mechanisms: the RelaxFault coalescing map
  * (injectivity, deterministic set spreading for correlated faults), the
- * line tracker's transactional limits, RelaxFault/FreeFault/PPR repair
+ * line tracker's transactional limits (differentially, against an
+ * ordered-container reference model), RelaxFault/FreeFault/PPR repair
  * semantics, and the coverage evaluator. Several tests check the paper's
  * qualitative claims directly (e.g., FreeFault needs ~16x the lines,
  * column faults defeat unhashed FreeFault).
@@ -10,7 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "repair/coverage.h"
@@ -182,6 +188,187 @@ TEST(LineTracker, DuplicatesWithinRequestCountOnce)
     EXPECT_TRUE(tracker.tryAdd({{3, 7}, {3, 7}, {3, 7}}));
     EXPECT_EQ(tracker.usedLines(), 1u);
     EXPECT_EQ(tracker.setLoad(3), 1u);
+}
+
+/** Ordered-container reference for RepairLineTracker's contract. */
+class ReferenceTracker
+{
+  public:
+    enum class Outcome { Added, WayLimit, CapacityLimit };
+
+    ReferenceTracker(uint64_t sets, const RepairBudget &budget)
+        : budget_(budget), load_(sets, 0)
+    {
+    }
+
+    Outcome tryAdd(const std::vector<std::pair<uint64_t, uint64_t>> &lines)
+    {
+        std::set<std::pair<uint64_t, uint64_t>> fresh;
+        std::map<uint64_t, unsigned> increase;
+        for (const auto &line : lines) {
+            if (!lines_.count(line) && fresh.insert(line).second)
+                ++increase[line.first];
+        }
+        for (const auto &[set, count] : increase) {
+            if (load_[set] + count > budget_.maxWaysPerSet)
+                return Outcome::WayLimit;
+        }
+        if (lines_.size() + fresh.size() > budget_.maxLines)
+            return Outcome::CapacityLimit;
+        lines_.insert(fresh.begin(), fresh.end());
+        for (const auto &[set, count] : increase) {
+            load_[set] += count;
+            maxWays_ = std::max(maxWays_, load_[set]);
+        }
+        return Outcome::Added;
+    }
+
+    void reset()
+    {
+        lines_.clear();
+        std::fill(load_.begin(), load_.end(), 0u);
+        maxWays_ = 0;
+    }
+
+    bool contains(uint64_t set, uint64_t key) const
+    {
+        return lines_.count({set, key}) != 0;
+    }
+
+    std::vector<uint64_t> sortedKeys() const
+    {
+        std::vector<uint64_t> keys;
+        for (const auto &line : lines_)
+            keys.push_back(line.second);
+        std::sort(keys.begin(), keys.end());
+        return keys;
+    }
+
+    uint64_t usedLines() const { return lines_.size(); }
+    unsigned maxWaysUsed() const { return maxWays_; }
+    unsigned setLoad(uint64_t set) const { return load_[set]; }
+
+  private:
+    RepairBudget budget_;
+    std::vector<unsigned> load_;
+    std::set<std::pair<uint64_t, uint64_t>> lines_;
+    unsigned maxWays_ = 0;
+};
+
+TEST(LineTracker, MatchesReferenceModelOnRandomBatches)
+{
+    // Keys come from a small universe and fix their set (key % sets), as
+    // production keys do, so batches often repeat a key, re-add a
+    // committed one, or overflow a set or the capacity cap.
+    constexpr uint64_t kSets = 8;
+    constexpr uint64_t kKeys = 96;
+    std::map<ReferenceTracker::Outcome, unsigned> outcomes;
+    unsigned in_batch_duplicates = 0;
+    unsigned committed_repeats = 0;
+    unsigned resets = 0;
+    for (const unsigned ways : {1u, 2u, 4u, 16u}) {
+        const RepairBudget budget{ways, 3 * kSets};
+        RepairLineTracker tracker(kSets, budget);
+        ReferenceTracker reference(kSets, budget);
+        Rng rng(1000 + ways);
+        for (int call = 0; call < 4000; ++call) {
+            if (rng.uniformInt(25) == 0) {
+                tracker.reset();
+                reference.reset();
+                ++resets;
+            } else {
+                std::vector<std::pair<uint64_t, uint64_t>> lines;
+                const unsigned count = 1 + rng.uniformInt(6);
+                for (unsigned i = 0; i < count; ++i) {
+                    const uint64_t key = rng.uniformInt(kKeys);
+                    for (const auto &line : lines)
+                        in_batch_duplicates += line.second == key;
+                    committed_repeats += reference.contains(key % kSets,
+                                                            key);
+                    lines.emplace_back(key % kSets, key);
+                }
+                const ReferenceTracker::Outcome expected =
+                    reference.tryAdd(lines);
+                ++outcomes[expected];
+                ASSERT_EQ(tracker.tryAdd(lines),
+                          expected == ReferenceTracker::Outcome::Added)
+                    << "ways " << ways << " call " << call;
+            }
+            ASSERT_EQ(tracker.usedLines(), reference.usedLines());
+            ASSERT_EQ(tracker.maxWaysUsed(), reference.maxWaysUsed());
+            for (uint64_t set = 0; set < kSets; ++set)
+                ASSERT_EQ(tracker.setLoad(set), reference.setLoad(set));
+            ASSERT_EQ(tracker.sortedKeys(), reference.sortedKeys());
+            for (uint64_t key = 0; key < kKeys; ++key) {
+                ASSERT_EQ(tracker.contains(key % kSets, key),
+                          reference.contains(key % kSets, key))
+                    << "key " << key;
+            }
+        }
+    }
+    // Every path of the contract was exercised, not just the easy one.
+    EXPECT_GT(outcomes[ReferenceTracker::Outcome::Added], 100u);
+    EXPECT_GT(outcomes[ReferenceTracker::Outcome::WayLimit], 100u);
+    EXPECT_GT(outcomes[ReferenceTracker::Outcome::CapacityLimit], 100u);
+    EXPECT_GT(in_batch_duplicates, 100u);
+    EXPECT_GT(committed_repeats, 100u);
+    EXPECT_GT(resets, 100u);
+}
+
+TEST(LineTracker, FailedAddLeavesNoTraceInANewSet)
+{
+    RepairLineTracker tracker(16, RepairBudget{2, 100});
+    // Set 7 is first touched by a batch that then overflows set 5.
+    EXPECT_FALSE(tracker.tryAdd({{7, 70}, {5, 1}, {5, 2}, {5, 3}}));
+    EXPECT_EQ(tracker.setLoad(7), 0u);
+    EXPECT_EQ(tracker.setLoad(5), 0u);
+    EXPECT_FALSE(tracker.contains(7, 70));
+    EXPECT_TRUE(tracker.tryAdd({{7, 70}, {7, 70}, {5, 1}}));
+    EXPECT_EQ(tracker.sortedKeys(), (std::vector<uint64_t>{1, 70}));
+    EXPECT_EQ(tracker.setLoad(7), 1u);
+    tracker.reset();
+    EXPECT_EQ(tracker.setLoad(7), 0u);
+    EXPECT_EQ(tracker.setLoad(5), 0u);
+    EXPECT_TRUE(tracker.sortedKeys().empty());
+}
+
+TEST(LineTracker, CorruptedLoadOnUntouchedSetDoesNotSurviveReset)
+{
+    RepairLineTracker tracker(16, RepairBudget{4, 100});
+    tracker.corruptSetLoad(9, 3);
+    EXPECT_EQ(tracker.setLoad(9), 3u);
+    // No table exists yet: nothing reads as locked.
+    EXPECT_FALSE(tracker.contains(9, 9));
+    EXPECT_TRUE(tracker.sortedKeys().empty());
+    tracker.reset();
+    EXPECT_EQ(tracker.setLoad(9), 0u);
+
+    // Same after the table is allocated by an add elsewhere.
+    ASSERT_TRUE(tracker.tryAdd({{2, 18}}));
+    tracker.corruptSetLoad(11, 5);
+    tracker.reset();
+    EXPECT_EQ(tracker.setLoad(11), 0u);
+    EXPECT_EQ(tracker.setLoad(2), 0u);
+}
+
+TEST(LineTracker, CorruptedLoadAboveTheWayCeilingStaysInItsRow)
+{
+    // The last set's row ends the table, so a scan past it would leave
+    // the allocation (caught under ASan).
+    constexpr uint64_t kSets = 8;
+    constexpr uint64_t kLast = kSets - 1;
+    RepairLineTracker tracker(kSets, RepairBudget{4, 100});
+    ASSERT_TRUE(tracker.tryAdd({{kLast, 7}, {kLast, 15}, {kLast, 23},
+                                {kLast, 31}}));
+    tracker.corruptSetLoad(kLast, 40);
+    for (const uint64_t key : {7, 15, 23, 31})
+        EXPECT_TRUE(tracker.contains(kLast, key));
+    EXPECT_FALSE(tracker.contains(kLast, 39));
+    EXPECT_EQ(tracker.sortedKeys(), (std::vector<uint64_t>{7, 15, 23, 31}));
+    EXPECT_FALSE(tracker.tryAdd({{kLast, 39}}));
+    EXPECT_TRUE(tracker.corruptReplaceKey(31, 39));
+    EXPECT_TRUE(tracker.contains(kLast, 39));
+    EXPECT_FALSE(tracker.contains(kLast, 31));
 }
 
 class RelaxFaultRepairTest : public ::testing::Test
