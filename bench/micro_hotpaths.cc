@@ -5,7 +5,9 @@
  * bank-table + tag test (the per-miss filter), the repair-line tracker's
  * transactional add, the chipkill codecs, and the coalescer merge. These
  * bound the logic the paper argues is cheap enough to hide under a DRAM
- * access.
+ * access. Two rows time the lifetime simulator's own hot spots: a
+ * FreeFault repair rejected mid-walk, and the sparse fault-extent row
+ * draw.
  *
  * The chipkill/histogram benches run at the active SIMD dispatch level;
  * pin with `RELAXFAULT_SIMD=scalar|sse2|avx2` to A/B the kernels. The
@@ -13,7 +15,9 @@
  * binary shows before/after. Unlike the figure benches this main wraps
  * google-benchmark's, so only `--json[=PATH]` (schema
  * `relaxfault.bench.v1`, default BENCH_micro.json) is handled here and
- * everything else is google-benchmark's flag surface.
+ * everything else is google-benchmark's flag surface. Each JSON row has
+ * the wall-clock `ns_per_op` and the thread-CPU `cpu_ns_per_op`; the
+ * latter does not count time the thread spent descheduled.
  */
 
 #include <benchmark/benchmark.h>
@@ -31,6 +35,8 @@
 #include "core/relaxfault_controller.h"
 #include "dram/address_map.h"
 #include "ecc/chipkill.h"
+#include "faults/fault_geometry.h"
+#include "repair/freefault_repair.h"
 #include "repair/line_tracker.h"
 #include "repair/relaxfault_map.h"
 #include "repair/relaxfault_repair.h"
@@ -208,6 +214,47 @@ BM_LineTrackerTryAddRejected(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LineTrackerTryAddRejected);
+
+void
+BM_FreeFaultTryRepairRejected(benchmark::State &state)
+{
+    // A 64-row x all-column cluster: 16,384 lines, within the 2 MiB cap,
+    // so it passes the pre-check, but under a 1-way budget two of its
+    // lines soon share a set. Every call walks until that collision and
+    // rolls back, leaving the mechanism empty for the next.
+    RegionCluster cluster;
+    cluster.bankMask = 1u << 4;
+    std::vector<uint32_t> rows;
+    for (uint32_t row = 0; row < 64; ++row)
+        rows.push_back(20000 + 37 * row);
+    cluster.rows = RowSet::of(std::move(rows));
+    cluster.cols = ColSet::allCols();
+    FaultRecord fault;
+    fault.persistence = Persistence::Permanent;
+    fault.parts.push_back({0, 3, FaultRegion({cluster})});
+    FreeFaultRepair repair(DramAddressMap(kGeometry, true), kLlc,
+                           RepairBudget{1, 32768}, true);
+    for (auto _ : state) {
+        if (repair.tryRepair(fault)) {
+            state.SkipWithError("colliding fault was accepted");
+            break;
+        }
+    }
+}
+BENCHMARK(BM_FreeFaultTryRepairRejected);
+
+void
+BM_FaultSamplerRandomRowsSparse(benchmark::State &state)
+{
+    // The bank-medium draw at its largest: 320 distinct rows of a
+    // 65,536-row bank, on the sparse (rejection) path.
+    const FaultGeometrySampler sampler(kGeometry, FaultGeometryParams{});
+    Rng rng(5);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            sampler.randomRows(320, 0, kGeometry.rowsPerBank, rng));
+}
+BENCHMARK(BM_FaultSamplerRandomRowsSparse);
 
 void
 BM_ChipkillEncodeLine(benchmark::State &state)
@@ -494,6 +541,7 @@ class CollectingReporter : public benchmark::ConsoleReporter
     {
         std::string name;
         double nsPerOp = 0.0;
+        double cpuNsPerOp = 0.0;  ///< Thread CPU time: deaf to preemption.
         int64_t iterations = 0;
     };
 
@@ -505,9 +553,12 @@ class CollectingReporter : public benchmark::ConsoleReporter
             Row row;
             row.name = run.run_name.str();
             row.iterations = run.iterations;
-            if (run.iterations > 0)
-                row.nsPerOp = run.real_accumulated_time * 1e9 /
-                              static_cast<double>(run.iterations);
+            if (run.iterations > 0) {
+                const double iterations =
+                    static_cast<double>(run.iterations);
+                row.nsPerOp = run.real_accumulated_time * 1e9 / iterations;
+                row.cpuNsPerOp = run.cpu_accumulated_time * 1e9 / iterations;
+            }
             rows_.push_back(std::move(row));
         }
         benchmark::ConsoleReporter::ReportRuns(reports);
@@ -565,6 +616,7 @@ main(int argc, char **argv)
             record.addRow()
                 .set("name", row.name)
                 .set("ns_per_op", row.nsPerOp)
+                .set("cpu_ns_per_op", row.cpuNsPerOp)
                 .set("iterations", row.iterations);
         }
         std::ofstream out(json_path);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace relaxfault {
 
@@ -44,12 +45,24 @@ FaultGeometrySampler::randomRows(unsigned count, uint32_t base,
             rows.push_back(pool[i]);
         }
     } else {
+        // One bit per row of the span marks the rows already chosen. The
+        // sampler is shared by the trial threads, so each thread keeps
+        // its own bitmap, all zero between calls: the chosen rows' bits
+        // are cleared again on the way out.
+        thread_local std::vector<uint64_t> chosen;
+        if (chosen.size() * 64 < span)
+            chosen.resize((span + 63) / 64);
         while (rows.size() < count) {
-            const auto row = base + static_cast<uint32_t>(
-                rng.uniformInt(span));
-            if (std::find(rows.begin(), rows.end(), row) == rows.end())
-                rows.push_back(row);
+            const auto offset = static_cast<uint32_t>(rng.uniformInt(span));
+            uint64_t &word = chosen[offset / 64];
+            const uint64_t bit = uint64_t{1} << (offset % 64);
+            if (word & bit)
+                continue;
+            word |= bit;
+            rows.push_back(base + offset);
         }
+        for (const uint32_t row : rows)
+            chosen[(row - base) / 64] = 0;
     }
     return RowSet::of(std::move(rows));
 }

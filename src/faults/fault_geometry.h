@@ -73,13 +73,18 @@ class FaultGeometrySampler
 
     const FaultGeometryParams &params() const { return params_; }
 
+    /**
+     * min(@p count, @p span) distinct rows, uniform within [base,
+     * base+span): a partial Fisher-Yates shuffle when they fill a third
+     * of the span or more, rejection of repeats otherwise. Safe to call
+     * from several threads at once.
+     */
+    RowSet randomRows(unsigned count, uint32_t base, uint32_t span,
+                      Rng &rng) const;
+
   private:
     /** Geometric count with the given mean, >= 1. */
     unsigned geometricCount(double mean, Rng &rng) const;
-
-    /** @p count distinct rows, uniform within [base, base+span). */
-    RowSet randomRows(unsigned count, uint32_t base, uint32_t span,
-                      Rng &rng) const;
 
     RegionCluster bankExtent(unsigned bank, Rng &rng) const;
 

@@ -21,16 +21,34 @@ stuckValueFor(const DeviceCoord &coord)
 
 } // namespace
 
-FaultSet::FaultSet(const DramGeometry &geometry) : geometry_(geometry)
+FaultSet::FaultSet(const DramGeometry &geometry)
+    : geometry_(geometry), byDevice_(geometry.devicesPerNode())
 {
+}
+
+size_t
+FaultSet::slotOf(unsigned dimm, unsigned device) const
+{
+    if (dimm >= geometry_.dimmsPerNode() ||
+        device >= geometry_.devicesPerRank())
+        return byDevice_.size();
+    return size_t{dimm} * geometry_.devicesPerRank() + device;
 }
 
 size_t
 FaultSet::addFault(FaultRecord fault)
 {
+    const size_t index = faults_.size();
+    for (const DevicePart &part : fault.parts) {
+        const size_t slot = slotOf(part.dimm, part.device);
+        std::vector<uint32_t> &list =
+            slot < byDevice_.size() ? byDevice_[slot] : offGeometry_;
+        if (list.empty() || list.back() != index)
+            list.push_back(static_cast<uint32_t>(index));
+    }
     faults_.push_back(std::move(fault));
     repaired_.push_back(false);
-    return faults_.size() - 1;
+    return index;
 }
 
 void
@@ -44,13 +62,17 @@ FaultSet::clear()
 {
     faults_.clear();
     repaired_.clear();
+    for (std::vector<uint32_t> &list : byDevice_)
+        list.clear();
+    offGeometry_.clear();
 }
 
-StuckBits
-FaultSet::probe(const DeviceCoord &coord, bool include_repaired) const
+void
+FaultSet::scan(const std::vector<uint32_t> &indices,
+               const DeviceCoord &coord, bool include_repaired,
+               StuckBits &stuck) const
 {
-    StuckBits stuck;
-    for (size_t index = 0; index < faults_.size(); ++index) {
+    for (const uint32_t index : indices) {
         const FaultRecord &fault = faults_[index];
         if (!fault.permanent())
             continue;
@@ -63,6 +85,16 @@ FaultSet::probe(const DeviceCoord &coord, bool include_repaired) const
                                                 coord.colBlock);
         }
     }
+}
+
+StuckBits
+FaultSet::probe(const DeviceCoord &coord, bool include_repaired) const
+{
+    StuckBits stuck;
+    const size_t slot = slotOf(coord.dimm, coord.device);
+    if (slot < byDevice_.size())
+        scan(byDevice_[slot], coord, include_repaired, stuck);
+    scan(offGeometry_, coord, include_repaired, stuck);
     if (stuck.mask != 0)
         stuck.value = stuckValueFor(coord);
     return stuck;

@@ -14,6 +14,7 @@
 #define RELAXFAULT_FAULTS_FAULT_SET_H
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dram/functional_dram.h"
@@ -56,9 +57,25 @@ class FaultSet
     FunctionalDram::FaultProbe makeProbe() const;
 
   private:
+    /** byDevice_ slot of one device of one DIMM; size() if outside. */
+    size_t slotOf(unsigned dimm, unsigned device) const;
+    /** OR into @p stuck the masks of the listed faults' parts at coord. */
+    void scan(const std::vector<uint32_t> &indices,
+              const DeviceCoord &coord, bool include_repaired,
+              StuckBits &stuck) const;
+
     DramGeometry geometry_;
     std::vector<FaultRecord> faults_;
     std::vector<bool> repaired_;
+    /**
+     * The ascending indices of the faults with a part on each (DIMM,
+     * device) of the geometry, so probe() reads only the faults of the
+     * probed device rather than every fault once per device of a line.
+     * Parts outside the geometry go to offGeometry_, which every probe
+     * also reads.
+     */
+    std::vector<std::vector<uint32_t>> byDevice_;
+    std::vector<uint32_t> offGeometry_;
 };
 
 } // namespace relaxfault

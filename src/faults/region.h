@@ -15,6 +15,7 @@
 #define RELAXFAULT_FAULTS_REGION_H
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "dram/geometry.h"
@@ -94,13 +95,20 @@ class FaultRegion
      */
     uint64_t remapUnitCount(const DramGeometry &geometry) const;
 
-    /** Visit every affected (bank, row, colBlock). */
+    /**
+     * Visit every affected (bank, row, colBlock). A visitor may return
+     * bool: false stops the walk, which then returns false. A void
+     * visitor sees every slice, and the walk returns true.
+     */
     template <typename Visit>
-    void forEachSlice(const DramGeometry &geometry, Visit &&visit) const;
+    bool forEachSlice(const DramGeometry &geometry, Visit &&visit) const;
 
-    /** Visit every affected remap unit (bank, row, colGroup). */
+    /**
+     * Visit every affected remap unit (bank, row, colGroup), with the
+     * same early exit as forEachSlice.
+     */
     template <typename Visit>
-    void forEachRemapUnit(const DramGeometry &geometry,
+    bool forEachRemapUnit(const DramGeometry &geometry,
                           Visit &&visit) const;
 
     /**
@@ -159,11 +167,28 @@ class FaultRegion
     }
 
   private:
+    /** Call @p visit; false only if it is a bool visitor saying stop. */
+    template <typename Visit>
+    static bool visitOne(Visit &visit, unsigned bank, uint32_t row,
+                         uint16_t col)
+    {
+        using Result =
+            std::invoke_result_t<Visit &, unsigned, uint32_t, uint16_t>;
+        static_assert(std::is_void_v<Result> || std::is_same_v<Result, bool>,
+                      "a region visitor returns void or bool");
+        if constexpr (std::is_void_v<Result>) {
+            visit(bank, row, col);
+            return true;
+        } else {
+            return visit(bank, row, col);
+        }
+    }
+
     std::vector<RegionCluster> clusters_;
 };
 
 template <typename Visit>
-void
+bool
 FaultRegion::forEachSlice(const DramGeometry &geometry, Visit &&visit) const
 {
     for (const auto &cluster : clusters_) {
@@ -178,15 +203,17 @@ FaultRegion::forEachSlice(const DramGeometry &geometry, Visit &&visit) const
                 for (uint64_t ci = 0; ci < col_count; ++ci) {
                     const uint16_t col = cluster.cols.all
                         ? static_cast<uint16_t>(ci) : cluster.cols.cols[ci];
-                    visit(bank, row, col);
+                    if (!visitOne(visit, bank, row, col))
+                        return false;
                 }
             }
         }
     }
+    return true;
 }
 
 template <typename Visit>
-void
+bool
 FaultRegion::forEachRemapUnit(const DramGeometry &geometry,
                               Visit &&visit) const
 {
@@ -200,11 +227,14 @@ FaultRegion::forEachRemapUnit(const DramGeometry &geometry,
             for (uint64_t ri = 0; ri < row_count; ++ri) {
                 const uint32_t row = cluster.rows.all
                     ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
-                for (const auto group : groups)
-                    visit(bank, row, group);
+                for (const auto group : groups) {
+                    if (!visitOne(visit, bank, row, group))
+                        return false;
+                }
             }
         }
     }
+    return true;
 }
 
 } // namespace relaxfault

@@ -54,6 +54,15 @@ FleetNodeSampler::FleetNodeSampler(const FaultModelConfig &config)
     classMean_.resize(classes);
     const double p_node = config.acceleratedNodeFraction;
     const double p_dimm = config.acceleratedDimmFraction;
+    // A DIMM's rate factor takes one of four values: look them up
+    // rather than call out for each of the 4096 (class, DIMM) pairs of
+    // an 8-DIMM node, which was most of the cost of building a sampler.
+    double factor[2][2];
+    for (const bool node_accel : {false, true}) {
+        for (const bool dimm_accel : {false, true})
+            factor[node_accel][dimm_accel] =
+                inner_.dimmFactor(node_accel, dimm_accel);
+    }
     double cumulative = 0.0;
     for (size_t c = 0; c < classes; ++c) {
         const bool node_accel = (c & 1) != 0;
@@ -62,8 +71,7 @@ FleetNodeSampler::FleetNodeSampler(const FaultModelConfig &config)
         for (unsigned d = 0; d < dimms_; ++d) {
             const bool dimm_accel = ((c >> (1 + d)) & 1) != 0;
             prob *= dimm_accel ? p_dimm : 1.0 - p_dimm;
-            mean += perDimmBase_ * inner_.dimmFactor(node_accel,
-                                                     dimm_accel);
+            mean += perDimmBase_ * factor[node_accel][dimm_accel];
         }
         cumulative += prob;
         accelCdf_[c] = cumulative;

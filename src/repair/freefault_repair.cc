@@ -30,24 +30,27 @@ FreeFaultRepair::tryRepair(const FaultRecord &fault)
     if (total_lines > tracker_.budget().maxLines)
         return false;
 
-    std::vector<std::pair<uint64_t, uint64_t>> lines;
-    lines.reserve(total_lines);
-    for (const auto &part : fault.parts) {
-        LineCoord coord;
-        coord.channel = part.dimm / geometry.ranksPerChannel;
-        coord.rank = part.dimm % geometry.ranksPerChannel;
-        part.region.forEachSlice(
-            geometry,
-            [&](unsigned bank, uint32_t row, uint16_t col_block) {
-                coord.bank = bank;
-                coord.row = row;
-                coord.colBlock = col_block;
-                const uint64_t pa = map_.encode(coord);
-                lines.emplace_back(indexer_.setIndex(pa),
-                                   pa >> geometry.offsetBits());
-            });
-    }
-    return tracker_.tryAdd(lines);
+    // Lines stream into the tracker as the regions are walked; the walk
+    // stops at the first one that does not fit.
+    return tracker_.tryAdd([&](RepairLineTracker::Stage &stage) {
+        for (const auto &part : fault.parts) {
+            LineCoord coord;
+            coord.channel = part.dimm / geometry.ranksPerChannel;
+            coord.rank = part.dimm % geometry.ranksPerChannel;
+            const bool fits = part.region.forEachSlice(
+                geometry,
+                [&](unsigned bank, uint32_t row, uint16_t col_block) {
+                    coord.bank = bank;
+                    coord.row = row;
+                    coord.colBlock = col_block;
+                    const uint64_t pa = map_.encode(coord);
+                    return stage(indexer_.setIndex(pa),
+                                 pa >> geometry.offsetBits());
+                });
+            if (!fits)
+                return;
+        }
+    });
 }
 
 void

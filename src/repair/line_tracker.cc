@@ -20,9 +20,8 @@ RepairLineTracker::RepairLineTracker(uint64_t sets,
 {
 }
 
-bool
-RepairLineTracker::tryAdd(
-    const std::vector<std::pair<uint64_t, uint64_t>> &lines)
+RepairLineTracker::Stage
+RepairLineTracker::begin()
 {
     // Most mechanisms are built and never asked to repair, so the table
     // is mapped on first use and never filled: only slots below a set's
@@ -42,30 +41,24 @@ RepairLineTracker::tryAdd(
         keys_ = std::unique_ptr<uint64_t[], Unmap>(
             static_cast<uint64_t *>(table), Unmap{bytes});
     }
-
-    // Stage each genuinely new key behind its set's committed keys; a
-    // later duplicate in the same batch then finds it by the same scan.
+    // Each genuinely new key is staged behind its set's committed keys,
+    // so a later duplicate in the same walk finds it by the same scan.
     staged_.clear();
-    const size_t touched_mark = touched_.size();
-    for (const auto &[set, key] : lines) {
-        uint64_t *row = keys_.get() + set * ways_;
-        const unsigned n = filled(set);
-        if (std::find(row, row + n, key) != row + n)
-            continue;
-        if (load_[set] >= ways_ ||
-            usedLines_ + staged_.size() >= budget_.maxLines) {
-            // Roll back exactly what this call staged.
-            for (const uint64_t staged_set : staged_)
-                --load_[staged_set];
-            touched_.resize(touched_mark);
-            return false;
-        }
-        if (load_[set] == 0)
-            touched_.push_back(set);
-        row[load_[set]++] = key;
-        staged_.push_back(set);
-    }
+    touchedMark_ = touched_.size();
+    overflow_ = false;
+    return Stage(*this);
+}
 
+bool
+RepairLineTracker::finish()
+{
+    if (overflow_) {
+        // Roll back exactly what this call staged.
+        for (const uint64_t staged_set : staged_)
+            --load_[staged_set];
+        touched_.resize(touchedMark_);
+        return false;
+    }
     usedLines_ += staged_.size();
     for (const uint64_t set : staged_)
         maxWaysUsed_ = std::max<unsigned>(maxWaysUsed_, load_[set]);

@@ -4,7 +4,10 @@
  *
  * Tracks which (set, tag) repair lines are locked, enforces the per-set
  * way ceiling and the total-capacity cap, and supports all-or-nothing
- * allocation of the lines one fault needs.
+ * allocation of the lines one fault needs. A mechanism streams those
+ * lines in while it walks the fault's region, and the walk stops at the
+ * first line that does not fit: most lines of a rejected column or bank
+ * fault are then never encoded.
  *
  * A line's key fixes its set, and no set holds more than
  * `maxWaysPerSet` lines, so the keys live in one flat `sets x ways`
@@ -16,6 +19,7 @@
 #define RELAXFAULT_REPAIR_LINE_TRACKER_H
 
 #include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -35,12 +39,50 @@ class RepairLineTracker
     RepairLineTracker(uint64_t sets, const RepairBudget &budget);
 
     /**
-     * Atomically allocate the given (set, unique key) lines. Keys that
-     * are already allocated are shared, not duplicated. Returns false —
-     * with no state change — if the per-set or capacity limits would be
-     * exceeded.
+     * What a tryAdd walk hands each line to: `stage(set, key)` locks the
+     * key behind its set's committed keys (a key already locked is
+     * shared, not duplicated) and returns false once a line would exceed
+     * the per-set or capacity limit. The walk should then stop.
      */
-    bool tryAdd(const std::vector<std::pair<uint64_t, uint64_t>> &lines);
+    class Stage
+    {
+      public:
+        bool operator()(uint64_t set, uint64_t key)
+        {
+            return tracker_.stage(set, key);
+        }
+
+      private:
+        friend class RepairLineTracker;
+        explicit Stage(RepairLineTracker &tracker) : tracker_(tracker) {}
+        RepairLineTracker &tracker_;
+    };
+
+    /**
+     * Atomically allocate the lines @p walk stages: `walk(stage)` calls
+     * `stage(set, key)` once per line. If every line fits, they are
+     * committed and tryAdd returns true; otherwise exactly what the walk
+     * staged is rolled back and it returns false, with no state change.
+     */
+    template <typename Walk>
+        requires std::invocable<Walk &, Stage &>
+    bool tryAdd(Walk &&walk)
+    {
+        Stage stage = begin();
+        walk(stage);
+        return finish();
+    }
+
+    /** tryAdd over a materialized (set, key) list (tests, micro rows). */
+    bool tryAdd(const std::vector<std::pair<uint64_t, uint64_t>> &lines)
+    {
+        return tryAdd([&](Stage &stage) {
+            for (const auto &[set, key] : lines) {
+                if (!stage(set, key))
+                    return;
+            }
+        });
+    }
 
     /** True if @p key is locked in @p set. */
     bool contains(uint64_t set, uint64_t key) const
@@ -91,6 +133,31 @@ class RepairLineTracker
     void corruptSetLoad(uint64_t set, uint16_t value);
 
   private:
+    /** Open a tryAdd transaction (maps the key table on first use). */
+    Stage begin();
+
+    /** Stage one line of the open transaction; false on overflow. */
+    bool stage(uint64_t set, uint64_t key)
+    {
+        uint64_t *row = keys_.get() + set * ways_;
+        const unsigned n = filled(set);
+        if (std::find(row, row + n, key) != row + n)
+            return true;
+        if (load_[set] >= ways_ ||
+            usedLines_ + staged_.size() >= budget_.maxLines) {
+            overflow_ = true;
+            return false;
+        }
+        if (load_[set] == 0)
+            touched_.push_back(set);
+        row[load_[set]++] = key;
+        staged_.push_back(set);
+        return true;
+    }
+
+    /** Commit the open transaction, or roll it back after an overflow. */
+    bool finish();
+
     /** Readable slots of @p set's row: its load, clamped to the row. */
     unsigned filled(uint64_t set) const
     {
@@ -111,6 +178,8 @@ class RepairLineTracker
     std::unique_ptr<uint64_t[], Unmap> keys_;
     std::vector<uint64_t> touched_;  ///< Sets loaded since reset().
     std::vector<uint64_t> staged_;   ///< tryAdd scratch: set per new key.
+    size_t touchedMark_ = 0;         ///< touched_ size when tryAdd began.
+    bool overflow_ = false;          ///< The open tryAdd hit a limit.
     uint64_t usedLines_ = 0;
     unsigned maxWaysUsed_ = 0;
 };

@@ -55,22 +55,28 @@ RelaxFaultRepair::tryRepair(const FaultRecord &fault)
     if (total_units > tracker_.budget().maxLines)
         return false;
 
-    std::vector<std::pair<uint64_t, uint64_t>> lines;
-    lines.reserve(total_units);
-    for (const auto &part : fault.parts) {
-        RemapUnit unit;
-        unit.dimm = part.dimm;
-        unit.device = part.device;
-        part.region.forEachRemapUnit(
-            dram_, [&](unsigned bank, uint32_t row, uint16_t col_group) {
-                unit.bank = bank;
-                unit.row = row;
-                unit.colGroup = col_group;
-                const RemapLocation loc = map_.locate(unit);
-                lines.emplace_back(loc.set, loc.key(map_.setBits()));
-            });
-    }
-    if (!tracker_.tryAdd(lines))
+    // Units stream into the tracker as the regions are walked; the walk
+    // stops at the first one that does not fit.
+    const bool repaired =
+        tracker_.tryAdd([&](RepairLineTracker::Stage &stage) {
+            for (const auto &part : fault.parts) {
+                RemapUnit unit;
+                unit.dimm = part.dimm;
+                unit.device = part.device;
+                const bool fits = part.region.forEachRemapUnit(
+                    dram_,
+                    [&](unsigned bank, uint32_t row, uint16_t col_group) {
+                        unit.bank = bank;
+                        unit.row = row;
+                        unit.colGroup = col_group;
+                        const RemapLocation loc = map_.locate(unit);
+                        return stage(loc.set, loc.key(map_.setBits()));
+                    });
+                if (!fits)
+                    return;
+            }
+        });
+    if (!repaired)
         return false;
 
     for (const auto &part : fault.parts) {

@@ -65,6 +65,27 @@ TEST(Bitops, IndexBits)
     EXPECT_EQ(indexBits(3), 2u);
 }
 
+TEST(Bitops, IndexBitsMatchesTheShiftLoop)
+{
+    // The smallest b with 2^b >= count, as the field widths were first
+    // computed; valid up to 2^63 (the loop's shift would overflow past).
+    auto loop = [](uint64_t count) {
+        unsigned bits = 0;
+        while ((uint64_t{1} << bits) < count)
+            ++bits;
+        return bits;
+    };
+    for (uint64_t count = 0; count <= (uint64_t{1} << 16); ++count)
+        ASSERT_EQ(indexBits(count), loop(count)) << count;
+    for (unsigned k = 0; k <= 62; ++k) {
+        const uint64_t power = uint64_t{1} << k;
+        for (const uint64_t count : {power - 1, power, power + 1})
+            ASSERT_EQ(indexBits(count), loop(count)) << count;
+    }
+    static_assert(indexBits(0) == 0 && indexBits(1) == 0);
+    static_assert(indexBits(uint64_t{1} << 36) == 36);
+}
+
 TEST(Bitops, IsPowerOfTwo)
 {
     EXPECT_TRUE(isPowerOfTwo(1));

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/stats.h"
 #include "faults/fault_model.h"
@@ -134,6 +137,75 @@ TEST(Region, ForEachSliceVisitsAll)
         ++visits;
     });
     EXPECT_EQ(visits, 4u);
+}
+
+FaultRegion
+twoClusterRegion()
+{
+    // 2 banks x 3 rows x 40 columns (4 column groups), then 1 bank x 2
+    // rows x 2 columns (2 groups): 240 + 4 slices, 24 + 4 remap units.
+    RegionCluster a;
+    a.bankMask = (1u << 1) | (1u << 6);
+    a.rows = RowSet::of({7, 8, 900});
+    std::vector<uint16_t> cols;
+    for (uint16_t col = 10; col < 50; ++col)
+        cols.push_back(col);
+    a.cols = ColSet::of(std::move(cols));
+    RegionCluster b;
+    b.bankMask = 1u << 3;
+    b.rows = RowSet::of({1, 2});
+    b.cols = ColSet::of({0, 255});
+    return FaultRegion({a, b});
+}
+
+TEST(Region, BoolVisitorStopsTheSliceWalk)
+{
+    const FaultRegion region = twoClusterRegion();
+    const uint64_t total = region.lineSliceCount(geom());
+    ASSERT_EQ(total, 244u);
+    // Stopping on every call k, including the first cluster's last slice
+    // and the very last slice, ends the walk right there.
+    for (uint64_t k = 1; k <= total; ++k) {
+        uint64_t calls = 0;
+        const bool done = region.forEachSlice(
+            geom(), [&](unsigned, uint32_t, uint16_t) {
+                return ++calls != k;
+            });
+        ASSERT_FALSE(done) << k;
+        ASSERT_EQ(calls, k);
+    }
+    uint64_t calls = 0;
+    EXPECT_TRUE(region.forEachSlice(
+        geom(), [&](unsigned, uint32_t, uint16_t) { return ++calls > 0; }));
+    EXPECT_EQ(calls, total);
+}
+
+TEST(Region, BoolVisitorStopsTheRemapUnitWalk)
+{
+    const FaultRegion region = twoClusterRegion();
+    const uint64_t total = region.remapUnitCount(geom());
+    ASSERT_EQ(total, 28u);
+    for (uint64_t k = 1; k <= total; ++k) {
+        uint64_t calls = 0;
+        const bool done = region.forEachRemapUnit(
+            geom(), [&](unsigned, uint32_t, uint16_t) {
+                return ++calls != k;
+            });
+        ASSERT_FALSE(done) << k;
+        ASSERT_EQ(calls, k);
+    }
+}
+
+TEST(Region, VoidVisitorSeesEveryUnit)
+{
+    const FaultRegion region = twoClusterRegion();
+    uint64_t slices = 0, units = 0;
+    EXPECT_TRUE(region.forEachSlice(
+        geom(), [&](unsigned, uint32_t, uint16_t) { ++slices; }));
+    EXPECT_TRUE(region.forEachRemapUnit(
+        geom(), [&](unsigned, uint32_t, uint16_t) { ++units; }));
+    EXPECT_EQ(slices, region.lineSliceCount(geom()));
+    EXPECT_EQ(units, region.remapUnitCount(geom()));
 }
 
 TEST(Region, PairIntersection)
@@ -266,6 +338,41 @@ TEST_F(GeometrySamplerTest, ColumnRowCountMeanRoughlyCalibrated)
     // size and by duplicate draws; allow a generous band.
     EXPECT_GT(stat.mean(), 0.55 * params_.columnRowsMean);
     EXPECT_LT(stat.mean(), 1.15 * params_.columnRowsMean);
+}
+
+TEST_F(GeometrySamplerTest, SparseRandomRowsMatchLinearRejection)
+{
+    // The sparse path marks chosen rows in a bitmap; it must accept the
+    // same draws, in the same order, as rejecting each repeat by a scan
+    // of the rows so far. Spans and counts cover the column (512-row
+    // subarray) and bank-medium (65,536-row bank) shapes, and repeated
+    // calls check the bitmap comes back clean.
+    auto linear = [](unsigned count, uint32_t base, uint32_t span,
+                     Rng &rng) {
+        std::vector<uint32_t> rows;
+        while (rows.size() < count) {
+            const auto row =
+                base + static_cast<uint32_t>(rng.uniformInt(span));
+            if (std::find(rows.begin(), rows.end(), row) == rows.end())
+                rows.push_back(row);
+        }
+        return RowSet::of(std::move(rows));
+    };
+    Rng pick(77);
+    for (int i = 0; i < 400; ++i) {
+        const bool bank = i % 2 == 0;
+        const uint32_t span = bank ? geometry_.rowsPerBank : 512;
+        const uint32_t base = bank ? 0 : 512 * (1 + i % 100);
+        const auto count = static_cast<unsigned>(
+            1 + pick.uniformInt(bank ? 320 : span / 3 - 1));
+        ASSERT_LT(count * 3, span);
+        Rng a(9000 + i);
+        Rng b(9000 + i);
+        const RowSet rows = sampler_.randomRows(count, base, span, a);
+        ASSERT_EQ(rows, linear(count, base, span, b)) << i;
+        ASSERT_EQ(rows.rows.size(), count);
+        ASSERT_EQ(a.next(), b.next()) << "same draws consumed";
+    }
 }
 
 TEST_F(GeometrySamplerTest, BankExtentMixture)
@@ -509,6 +616,80 @@ TEST(FaultSetTest, ProbeStuckValueDeterministic)
     const DeviceCoord coord{0, 0, 0, 0, 0};
     EXPECT_EQ(set.probe(coord).value, set.probe(coord).value);
     EXPECT_EQ(set.probe(coord).mask, 0xffffffffu);
+}
+
+/** probe() as a scan over every fault of the set. */
+uint32_t
+probeByScan(const FaultSet &set, const DeviceCoord &coord,
+            bool include_repaired)
+{
+    uint32_t mask = 0;
+    for (size_t index = 0; index < set.faults().size(); ++index) {
+        const FaultRecord &fault = set.faults()[index];
+        if (!fault.permanent() || (!include_repaired && set.repaired(index)))
+            continue;
+        for (const DevicePart &part : fault.parts) {
+            if (part.dimm == coord.dimm && part.device == coord.device)
+                mask |= part.region.sliceMask(coord.bank, coord.row,
+                                              coord.colBlock);
+        }
+    }
+    return mask;
+}
+
+TEST(FaultSetTest, ProbeMatchesScanOverEveryFault)
+{
+    // Small coordinate ranges so that probes hit; dimm and device run
+    // one past the geometry so off-geometry parts are covered too.
+    const DramGeometry g = geom();
+    Rng rng(77);
+    auto coordinate = [&] {
+        return DeviceCoord{
+            static_cast<unsigned>(rng.uniformInt(g.dimmsPerNode() + 1)),
+            static_cast<unsigned>(rng.uniformInt(g.devicesPerRank() + 1)),
+            static_cast<unsigned>(rng.uniformInt(2)),
+            static_cast<unsigned>(rng.uniformInt(3)),
+            static_cast<unsigned>(rng.uniformInt(3))};
+    };
+    FaultSet set(g);
+    // The refill is smaller, so lists that clear() left behind would
+    // index past the new faults (caught under the sanitizers).
+    for (const int faults : {60, 25}) {
+        for (int f = 0; f < faults; ++f) {
+            FaultRecord fault;
+            if (rng.uniformInt(4) == 0)
+                fault.persistence = Persistence::Transient;
+            const int parts = 1 + static_cast<int>(rng.uniformInt(3));
+            DeviceCoord at = coordinate();
+            for (int p = 0; p < parts; ++p) {
+                // Half the extra parts land on the previous part's device.
+                if (p == 0 || rng.uniformInt(2) == 0)
+                    at = coordinate();
+                fault.parts.push_back(
+                    {at.dimm, at.device,
+                     bitRegion(at.bank, at.row,
+                               static_cast<uint16_t>(at.colBlock),
+                               static_cast<uint32_t>(rng.next()))});
+            }
+            const size_t id = set.addFault(fault);
+            set.setRepaired(id, rng.uniformInt(3) == 0);
+        }
+        for (int i = 0; i < 5000; ++i) {
+            const DeviceCoord coord = coordinate();
+            for (const bool include_repaired : {true, false}) {
+                const StuckBits stuck = set.probe(coord, include_repaired);
+                ASSERT_EQ(stuck.mask,
+                          probeByScan(set, coord, include_repaired))
+                    << faults << " faults, probe " << i;
+                if (stuck.mask == 0) {
+                    ASSERT_EQ(stuck.value, 0u);
+                }
+            }
+        }
+        set.clear();
+        for (int i = 0; i < 100; ++i)
+            ASSERT_EQ(set.probe(coordinate()).mask, 0u);
+    }
 }
 
 TEST(FaultSetTest, RepairFlagAndClear)

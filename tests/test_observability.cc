@@ -792,6 +792,40 @@ TEST(BenchCompare, OneSidedRowsBecomeNotesNotFailures)
     EXPECT_FALSE(result.notes.empty());
 }
 
+TEST(BenchCompare, CpuTimeColumnIsGatedLikeWallTime)
+{
+    // micro_hotpaths rows carry a thread-CPU `cpu_ns_per_op` beside the
+    // wall-clock one. A baseline without it (rows recorded before the
+    // column existed) compares nothing for it; one with it gates it
+    // one-sided, lower is better, under the same ns floor.
+    EXPECT_EQ(benchMetricDirection("cpu_ns_per_op"),
+              MetricDirection::LowerBetter);
+    const JsonValue old_rows = parseRecord(R"({
+      "bench": "micro", "results": [{"name": "hot", "ns_per_op": 10.0}]})");
+    const JsonValue faster = parseRecord(R"({
+      "bench": "micro", "results": [
+        {"name": "hot", "ns_per_op": 10.0, "cpu_ns_per_op": 1.0}]})");
+    const JsonValue slower = parseRecord(R"({
+      "bench": "micro", "results": [
+        {"name": "hot", "ns_per_op": 10.0, "cpu_ns_per_op": 30.0}]})");
+    const JsonValue tiny = parseRecord(R"({
+      "bench": "micro", "results": [
+        {"name": "hot", "ns_per_op": 10.0, "cpu_ns_per_op": 0.3}]})");
+    const JsonValue tiny_worse = parseRecord(R"({
+      "bench": "micro", "results": [
+        {"name": "hot", "ns_per_op": 10.0, "cpu_ns_per_op": 0.9}]})");
+    EXPECT_FALSE(compareBenchRecords(old_rows, slower, {}).regressed);
+    EXPECT_FALSE(compareBenchRecords(slower, faster, {}).regressed);
+    const BenchCompareResult worse =
+        compareBenchRecords(faster, slower, {});
+    ASSERT_EQ(worse.regressions().size(), 1u);
+    EXPECT_EQ(worse.regressions()[0].key, "cpu_ns_per_op");
+    BenchCompareOptions floored;
+    floored.minNs = 1.0;
+    EXPECT_TRUE(compareBenchRecords(tiny, tiny_worse, {}).regressed);
+    EXPECT_FALSE(compareBenchRecords(tiny, tiny_worse, floored).regressed);
+}
+
 TEST(BenchCompare, MarkdownReportCarriesTheVerdict)
 {
     const JsonValue baseline = parseRecord(kBaseline);

@@ -3,7 +3,9 @@
  * Tests for the repair mechanisms: the RelaxFault coalescing map
  * (injectivity, deterministic set spreading for correlated faults), the
  * line tracker's transactional limits (differentially, against an
- * ordered-container reference model), RelaxFault/FreeFault/PPR repair
+ * ordered-container reference model), the streaming repair walks
+ * (differentially, against the materialized line list), RelaxFault/
+ * FreeFault/PPR repair
  * semantics, and the coverage evaluator. Several tests check the paper's
  * qualitative claims directly (e.g., FreeFault needs ~16x the lines,
  * column faults defeat unhashed FreeFault).
@@ -15,10 +17,12 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "faults/fault_model.h"
 #include "repair/coverage.h"
 #include "repair/freefault_repair.h"
 #include "repair/no_repair.h"
@@ -369,6 +373,132 @@ TEST(LineTracker, CorruptedLoadAboveTheWayCeilingStaysInItsRow)
     EXPECT_TRUE(tracker.corruptReplaceKey(31, 39));
     EXPECT_TRUE(tracker.contains(kLast, 39));
     EXPECT_FALSE(tracker.contains(kLast, 31));
+}
+
+/**
+ * The lines a FreeFault or RelaxFault repair of @p fault locks, built the
+ * way the mechanisms built them before their walks streamed into the
+ * tracker: every line of every part, in walk order.
+ */
+std::vector<std::pair<uint64_t, uint64_t>>
+materializedLines(const FreeFaultRepair &repair, const FaultRecord &fault)
+{
+    const DramGeometry &geometry = repair.addressMap().geometry();
+    std::vector<std::pair<uint64_t, uint64_t>> lines;
+    for (const auto &part : fault.parts) {
+        LineCoord coord;
+        coord.channel = part.dimm / geometry.ranksPerChannel;
+        coord.rank = part.dimm % geometry.ranksPerChannel;
+        part.region.forEachSlice(
+            geometry, [&](unsigned bank, uint32_t row, uint16_t col) {
+                coord.bank = bank;
+                coord.row = row;
+                coord.colBlock = col;
+                const uint64_t pa = repair.addressMap().encode(coord);
+                lines.emplace_back(repair.indexer().setIndex(pa),
+                                   pa >> geometry.offsetBits());
+            });
+    }
+    return lines;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>>
+materializedLines(const RelaxFaultRepair &repair, const FaultRecord &fault)
+{
+    std::vector<std::pair<uint64_t, uint64_t>> lines;
+    for (const auto &part : fault.parts) {
+        RemapUnit unit{part.dimm, part.device, 0, 0, 0};
+        part.region.forEachRemapUnit(
+            geom(), [&](unsigned bank, uint32_t row, uint16_t group) {
+                unit.bank = bank;
+                unit.row = row;
+                unit.colGroup = group;
+                const RemapLocation loc = repair.map().locate(unit);
+                lines.emplace_back(loc.set,
+                                   loc.key(repair.map().setBits()));
+            });
+    }
+    return lines;
+}
+
+/**
+ * Drive @p make()'s mechanism and a twin tracker fed the materialized
+ * line list with the faults of seeded 10x-FIT nodes (reset per node),
+ * and require identical verdicts and tracker state after every call.
+ */
+template <typename Make>
+void
+expectStreamingMatchesMaterialized(Make make, uint64_t seed)
+{
+    FaultModelConfig config;
+    config.fitScale = 10.0;
+    const NodeFaultSampler sampler(config);
+    for (const unsigned ways : {1u, 4u, 16u}) {
+        const RepairBudget budget{ways, 32768};
+        auto repair = make(budget);
+        RepairLineTracker twin(llc().sets(), budget);
+        Rng rng(seed + ways);
+        unsigned accepted = 0, rejected = 0, tracked = 0;
+        for (int node = 0; node < 300; ++node) {
+            repair->reset();
+            twin.reset();
+            for (const FaultRecord &fault : sampler.sampleNode(rng).faults) {
+                // The mechanisms' pre-check: never enumerated.
+                bool fits = true;
+                uint64_t count = 0;
+                for (const auto &part : fault.parts) {
+                    fits = fits && !part.region.massive();
+                    count += std::is_same_v<decltype(*repair),
+                                            FreeFaultRepair &>
+                        ? part.region.lineSliceCount(geom())
+                        : part.region.remapUnitCount(geom());
+                }
+                fits = fits && count <= budget.maxLines;
+                const bool expected =
+                    fits && twin.tryAdd(materializedLines(*repair, fault));
+                ASSERT_EQ(repair->tryRepair(fault), expected)
+                    << "ways " << ways << " node " << node;
+                expected ? ++accepted : ++rejected;
+                tracked += fits;
+                const RepairLineTracker &tracker = repair->tracker();
+                ASSERT_EQ(tracker.usedLines(), twin.usedLines());
+                ASSERT_EQ(tracker.maxWaysUsed(), twin.maxWaysUsed());
+                ASSERT_EQ(tracker.sortedKeys(), twin.sortedKeys());
+                for (uint64_t set = 0; set < twin.sets(); ++set)
+                    ASSERT_EQ(tracker.setLoad(set), twin.setLoad(set))
+                        << "set " << set;
+            }
+        }
+        // Both verdicts occur; below 16 ways some rejections come from
+        // the tracker (a way or capacity overflow mid-walk), not only
+        // from the pre-check.
+        EXPECT_GT(accepted, 100u) << "ways " << ways;
+        EXPECT_GT(rejected, 10u) << "ways " << ways;
+        if (ways < 16) {
+            EXPECT_GT(tracked, accepted) << "ways " << ways;
+        }
+    }
+}
+
+TEST(StreamingRepair, FreeFaultMatchesMaterializedLines)
+{
+    const DramAddressMap map(geom(), true);
+    expectStreamingMatchesMaterialized(
+        [&](const RepairBudget &budget) {
+            return std::make_unique<FreeFaultRepair>(map, llc(), budget,
+                                                     true);
+        },
+        1206);
+}
+
+TEST(StreamingRepair, RelaxFaultMatchesMaterializedLines)
+{
+    expectStreamingMatchesMaterialized(
+        [](const RepairBudget &budget) {
+            return std::make_unique<RelaxFaultRepair>(geom(), llc(), budget,
+                                                      true);
+        },
+        4242);
 }
 
 class RelaxFaultRepairTest : public ::testing::Test

@@ -16,8 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
+#include "repair/freefault_repair.h"
+#include "repair/ppr_repair.h"
 #include "repair/relaxfault_repair.h"
 #include "sim/lifetime.h"
 
@@ -297,6 +300,72 @@ TEST(Lifetime, DueReductionWithinPaperConsistentBand)
     EXPECT_LE(reduction - half_width, 0.52);
     EXPECT_GT(reduction, 0.25);
     EXPECT_LT(reduction, 0.70);
+}
+
+/**
+ * Golden pin of the Fig. 12b repair matrix: trial 0 of each row at 10x
+ * FIT, ReplA, 1024 nodes, seed 1206, with the paper's 8 MiB LLC and 2 MiB
+ * repair cap. The literals were recorded before the repair walks became
+ * streaming and early-exit; any change to sampling, classification or
+ * line allocation that moves a single count fails here, not only in the
+ * benchmark's digests.
+ */
+TEST(Lifetime, RepairMatrixTrialZeroIsPinned)
+{
+    const LifetimeConfig config = smallConfig(10.0);
+    ASSERT_EQ(config.policy, ReplacePolicy::AfterDue);
+    const LifetimeSimulator simulator(config);
+    const DramGeometry geometry = config.faultModel.geometry;
+    const DramAddressMap map(geometry, true);
+    const CacheGeometry llc{8 * 1024 * 1024, 16, 64};
+    const uint64_t cap_lines = 2 * 1024 * 1024 / llc.lineBytes;
+    auto freeFault = [&](unsigned ways) {
+        return LifetimeSimulator::MechanismFactory([=] {
+            return std::make_unique<FreeFaultRepair>(
+                map, llc, RepairBudget{ways, cap_lines}, true);
+        });
+    };
+    auto relaxFault = [&](unsigned ways) {
+        return LifetimeSimulator::MechanismFactory([=] {
+            return std::make_unique<RelaxFaultRepair>(
+                geometry, llc, RepairBudget{ways, cap_lines}, true);
+        });
+    };
+
+    struct Row
+    {
+        const char *label;
+        LifetimeSimulator::MechanismFactory factory;
+        // faultyNodes, multiDeviceFaultDimms, dues, replacements,
+        // repairedFaults, permanentFaults, fullyRepairedNodes,
+        // budgetExhausted, degradedToRetirement, degradedDues, failStops
+        std::array<double, 11> expected;
+    };
+    const std::vector<Row> rows = {
+        {"no-repair", {}, {801, 136, 6, 2, 0, 1588, 0, 0, 0, 0, 0}},
+        {"PPR", [&] { return std::make_unique<PprRepair>(geometry); },
+         {804, 137, 5, 2, 1190, 1590, 475, 400, 0, 400, 0}},
+        {"FreeFault-1way", freeFault(1),
+         {804, 137, 5, 2, 1384, 1590, 616, 206, 0, 206, 0}},
+        {"RelaxFault-1way", relaxFault(1),
+         {804, 137, 5, 2, 1434, 1590, 661, 156, 0, 156, 0}},
+        {"FreeFault-4way", freeFault(4),
+         {804, 137, 5, 2, 1454, 1590, 676, 136, 0, 136, 0}},
+        {"RelaxFault-4way", relaxFault(4),
+         {802, 135, 5, 2, 1525, 1588, 741, 63, 0, 63, 0}},
+    };
+    TrialRunOptions run;
+    run.parallel.threads = 1;
+    for (const Row &row : rows) {
+        const LifetimeMetrics m =
+            simulator.runTrialRange(0, 1, row.factory, 1206, run).front();
+        const std::array<double, 11> got = {
+            m.faultyNodes, m.multiDeviceFaultDimms, m.dues,
+            m.replacements, m.repairedFaults, m.permanentFaults,
+            m.fullyRepairedNodes, m.budgetExhausted,
+            m.degradedToRetirement, m.degradedDues, m.failStops};
+        EXPECT_EQ(got, row.expected) << row.label;
+    }
 }
 
 TEST(Lifetime, MetricArithmetic)
