@@ -5,9 +5,9 @@
  * bank-table + tag test (the per-miss filter), the repair-line tracker's
  * transactional add, the chipkill codecs, and the coalescer merge. These
  * bound the logic the paper argues is cheap enough to hide under a DRAM
- * access. Two rows time the lifetime simulator's own hot spots: a
- * FreeFault repair rejected mid-walk, and the sparse fault-extent row
- * draw.
+ * access. Further rows time the lifetime simulator's own hot spots:
+ * FreeFault repairs rejected mid-walk and accepted, an accepted
+ * RelaxFault bank fault, and the sparse fault-extent row draws.
  *
  * The chipkill/histogram benches run at the active SIMD dispatch level;
  * pin with `RELAXFAULT_SIMD=scalar|sse2|avx2` to A/B the kernels. The
@@ -244,6 +244,56 @@ BM_FreeFaultTryRepairRejected(benchmark::State &state)
 BENCHMARK(BM_FreeFaultTryRepairRejected);
 
 void
+BM_FreeFaultTryRepairRowFault(benchmark::State &state)
+{
+    // An accepted whole-row fault: 256 lines from one row encode and the
+    // column-delta table, then a reset for the next call.
+    RegionCluster cluster;
+    cluster.bankMask = 1u << 2;
+    cluster.rows = RowSet::of({12345});
+    cluster.cols = ColSet::allCols();
+    FaultRecord fault;
+    fault.persistence = Persistence::Permanent;
+    fault.parts.push_back({0, 3, FaultRegion({cluster})});
+    FreeFaultRepair repair(DramAddressMap(kGeometry, true), kLlc,
+                           RepairBudget{4, 32768}, true);
+    for (auto _ : state) {
+        if (!repair.tryRepair(fault)) {
+            state.SkipWithError("row fault was rejected");
+            break;
+        }
+        repair.reset();
+    }
+}
+BENCHMARK(BM_FreeFaultTryRepairRowFault);
+
+void
+BM_RelaxFaultTryRepairBankFault(benchmark::State &state)
+{
+    // An accepted bank-medium fault: 192 rows spread over the bank, all
+    // columns, so 3,072 remap units from 192 row locates.
+    RegionCluster cluster;
+    cluster.bankMask = 1u << 4;
+    std::vector<uint32_t> rows;
+    for (uint32_t row = 0; row < 192; ++row)
+        rows.push_back(300 + 341 * row);
+    cluster.rows = RowSet::of(std::move(rows));
+    cluster.cols = ColSet::allCols();
+    FaultRecord fault;
+    fault.persistence = Persistence::Permanent;
+    fault.parts.push_back({0, 3, FaultRegion({cluster})});
+    RelaxFaultRepair repair(kGeometry, kLlc, RepairBudget{4, 32768}, true);
+    for (auto _ : state) {
+        if (!repair.tryRepair(fault)) {
+            state.SkipWithError("bank fault was rejected");
+            break;
+        }
+        repair.reset();
+    }
+}
+BENCHMARK(BM_RelaxFaultTryRepairBankFault);
+
+void
 BM_FaultSamplerRandomRowsSparse(benchmark::State &state)
 {
     // The bank-medium draw at its largest: 320 distinct rows of a
@@ -255,6 +305,18 @@ BM_FaultSamplerRandomRowsSparse(benchmark::State &state)
             sampler.randomRows(320, 0, kGeometry.rowsPerBank, rng));
 }
 BENCHMARK(BM_FaultSamplerRandomRowsSparse);
+
+void
+BM_FaultSamplerRandomRowsMedium(benchmark::State &state)
+{
+    // A typical bank-medium draw: 192 distinct rows of a 65,536-row bank.
+    const FaultGeometrySampler sampler(kGeometry, FaultGeometryParams{});
+    Rng rng(5);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            sampler.randomRows(192, 0, kGeometry.rowsPerBank, rng));
+}
+BENCHMARK(BM_FaultSamplerRandomRowsMedium);
 
 void
 BM_ChipkillEncodeLine(benchmark::State &state)

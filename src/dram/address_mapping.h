@@ -35,7 +35,20 @@
 
 namespace relaxfault {
 
-/** Abstract bidirectional physical-address/DRAM-coordinate strategy. */
+/**
+ * Abstract bidirectional physical-address/DRAM-coordinate strategy.
+ *
+ * Contract: every strategy is GF(2)-affine in the column, i.e. for any
+ * coordinate c with column block k,
+ *
+ *   encode(c) == encode(c with colBlock 0) ^ encode({k}) ^ encode({})
+ *
+ * where {k} is the all-zero coordinate with column block k. Every XOR
+ * scheme is linear, and Fig. 7a's bank hash XORs row bits only, so each
+ * registered mapping meets it; FreeFault's repair walk relies on it to
+ * encode one line per (bank, row) and derive the row's other lines
+ * from a per-column delta.
+ */
 class AddressMapping
 {
   public:

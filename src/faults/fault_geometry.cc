@@ -1,7 +1,9 @@
 #include "faults/fault_geometry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 namespace relaxfault {
@@ -25,46 +27,85 @@ FaultGeometrySampler::geometricCount(double mean, Rng &rng) const
     return std::max(1u, count);
 }
 
+namespace {
+
+/**
+ * randomRows' per-thread scratch, all zero between calls: one bit per
+ * row of the span marks the rows drawn so far, and one summary bit per
+ * bitmap word marks the words holding any, so the read-out visits only
+ * those words. The sampler is shared by the trial threads, so each
+ * thread keeps its own.
+ */
+struct RowMarks
+{
+    std::vector<uint64_t> bits;
+    std::vector<uint64_t> summary;
+
+    /** Mark @p offset; false if it was already marked. */
+    bool mark(uint32_t offset)
+    {
+        uint64_t &word = bits[offset / 64];
+        const uint64_t bit = uint64_t{1} << (offset % 64);
+        if (word & bit)
+            return false;
+        word |= bit;
+        summary[offset / 4096] |= uint64_t{1} << (offset / 64 % 64);
+        return true;
+    }
+};
+
+} // namespace
+
 RowSet
 FaultGeometrySampler::randomRows(unsigned count, uint32_t base,
                                  uint32_t span, Rng &rng) const
 {
     count = std::min(count, span);
-    std::vector<uint32_t> rows;
-    rows.reserve(count);
+    thread_local RowMarks marks;
+    const size_t words = (size_t{span} + 63) / 64;
+    const size_t summary_words = (words + 63) / 64;
+    if (marks.bits.size() < words) {
+        marks.bits.resize(words);
+        marks.summary.resize(summary_words);
+    }
     // Dense draws use a partial Fisher-Yates over the span; sparse draws
-    // use rejection against the already-chosen set.
+    // use rejection against the rows already marked.
     if (count * 3 >= span) {
         std::vector<uint32_t> pool(span);
         for (uint32_t i = 0; i < span; ++i)
-            pool[i] = base + i;
+            pool[i] = i;
         for (unsigned i = 0; i < count; ++i) {
             const auto j = i + static_cast<uint32_t>(
                 rng.uniformInt(span - i));
             std::swap(pool[i], pool[j]);
-            rows.push_back(pool[i]);
+            marks.mark(pool[i]);
         }
     } else {
-        // One bit per row of the span marks the rows already chosen. The
-        // sampler is shared by the trial threads, so each thread keeps
-        // its own bitmap, all zero between calls: the chosen rows' bits
-        // are cleared again on the way out.
-        thread_local std::vector<uint64_t> chosen;
-        if (chosen.size() * 64 < span)
-            chosen.resize((span + 63) / 64);
-        while (rows.size() < count) {
-            const auto offset = static_cast<uint32_t>(rng.uniformInt(span));
-            uint64_t &word = chosen[offset / 64];
-            const uint64_t bit = uint64_t{1} << (offset % 64);
-            if (word & bit)
-                continue;
-            word |= bit;
-            rows.push_back(base + offset);
+        for (unsigned drawn = 0; drawn < count;) {
+            if (marks.mark(static_cast<uint32_t>(rng.uniformInt(span))))
+                ++drawn;
         }
-        for (const uint32_t row : rows)
-            chosen[(row - base) / 64] = 0;
     }
-    return RowSet::of(std::move(rows));
+
+    // Read the marked rows out in ascending order, clearing as we go:
+    // the set is sorted and unique by construction. A summary bit is set
+    // exactly when its bitmap word is non-zero.
+    RowSet set;
+    set.rows.reserve(count);
+    for (size_t s = 0; s < summary_words; ++s) {
+        uint64_t summary = std::exchange(marks.summary[s], 0);
+        while (summary != 0) {
+            const size_t w = s * 64 + std::countr_zero(summary);
+            summary &= summary - 1;
+            uint64_t word = std::exchange(marks.bits[w], 0);
+            do {
+                set.rows.push_back(base + static_cast<uint32_t>(
+                    w * 64 + std::countr_zero(word)));
+                word &= word - 1;
+            } while (word != 0);
+        }
+    }
+    return set;
 }
 
 RegionCluster

@@ -76,8 +76,10 @@ class FaultGeometrySampler
     /**
      * min(@p count, @p span) distinct rows, uniform within [base,
      * base+span): a partial Fisher-Yates shuffle when they fill a third
-     * of the span or more, rejection of repeats otherwise. Safe to call
-     * from several threads at once.
+     * of the span or more, rejection of repeats otherwise. Each draw is
+     * marked in a per-thread bitmap over the span, which is then read
+     * out in ascending order, so the set is sorted without a sort. Safe
+     * to call from several threads at once.
      */
     RowSet randomRows(unsigned count, uint32_t base, uint32_t span,
                       Rng &rng) const;

@@ -60,19 +60,22 @@ NodeFaultSampler::NodeFaultSampler(const FaultModelConfig &config)
         fatal("fault model: all FIT rates are zero");
     for (auto &value : processCdf_)
         value /= perDeviceFitTotal_;
-}
 
-double
-NodeFaultSampler::dimmFactor(bool node_accel, bool dimm_accel) const
-{
     // Factors are relative to fitScale * nominal (the caller multiplies
     // by fitScale): accelerated modules sit at accelerationFactor *
     // nominal in absolute terms.
-    if (!config_.accelerationEnabled)
-        return 1.0;
-    if (node_accel || dimm_accel)
-        return config_.accelerationFactor / config_.fitScale;
-    return config_.adjustmentFactor();
+    if (config_.accelerationEnabled) {
+        acceleratedFactor_ = config_.accelerationFactor / config_.fitScale;
+        nominalFactor_ = config_.adjustmentFactor();
+    }
+    const double per_device_mean = perDeviceFitTotal_ * config_.fitScale *
+        1e-9 * config_.missionHours;
+    const double per_dimm_base =
+        per_device_mean * config_.geometry.devicesPerRank();
+    nominalDimmMean_ = per_dimm_base * nominalFactor_;
+    acceleratedDimmMean_ = per_dimm_base * acceleratedFactor_;
+    logIntermittentMin_ = std::log(config_.intermittentMinRatePerHour);
+    logIntermittentMax_ = std::log(config_.intermittentMaxRatePerHour);
 }
 
 void
@@ -116,12 +119,9 @@ NodeFaultSampler::makeFault(unsigned dimm, FaultMode mode,
         fault.hardPermanent = rng.bernoulli(config_.hardPermanentFraction);
         if (!fault.hardPermanent) {
             // Log-uniform activation rate across the published range.
-            const double log_min =
-                std::log(config_.intermittentMinRatePerHour);
-            const double log_max =
-                std::log(config_.intermittentMaxRatePerHour);
             fault.activationRatePerHour = std::exp(
-                log_min + rng.uniform() * (log_max - log_min));
+                logIntermittentMin_ +
+                rng.uniform() * (logIntermittentMax_ - logIntermittentMin_));
         }
     }
 
@@ -162,14 +162,10 @@ NodeFaultSampler::sampleNode(Rng &rng) const
     sampleAcceleration(sample, rng);
 
     const unsigned dimms = config_.geometry.dimmsPerNode();
-    const double per_device_mean = perDeviceFitTotal_ * config_.fitScale *
-        1e-9 * config_.missionHours;
-    const double per_dimm_base =
-        per_device_mean * config_.geometry.devicesPerRank();
-
     for (unsigned dimm = 0; dimm < dimms; ++dimm) {
-        const double mean = per_dimm_base *
-            dimmFactor(sample.acceleratedNode, sample.acceleratedDimm[dimm]);
+        const double mean =
+            sample.acceleratedNode || sample.acceleratedDimm[dimm]
+                ? acceleratedDimmMean_ : nominalDimmMean_;
         const uint64_t count = rng.poisson(mean);
         for (uint64_t i = 0; i < count; ++i) {
             FaultMode mode;

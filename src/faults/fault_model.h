@@ -111,7 +111,11 @@ class NodeFaultSampler
      * skip-ahead sampler can build its aggregate arrival means from the
      * exact same per-DIMM rates this sampler uses.
      */
-    double dimmFactor(bool node_accel, bool dimm_accel) const;
+    double dimmFactor(bool node_accel, bool dimm_accel) const
+    {
+        return node_accel || dimm_accel ? acceleratedFactor_
+                                        : nominalFactor_;
+    }
 
     /**
      * Attribute one fault that has already been assigned to @p dimm:
@@ -144,6 +148,14 @@ class NodeFaultSampler
     /// processes, transient first.
     std::vector<double> processCdf_;
     double perDeviceFitTotal_;  ///< Sum of all process rates (FIT).
+
+    /// Loop invariants of the per-node and per-fault draws.
+    double nominalFactor_ = 1.0;      ///< dimmFactor of a nominal DIMM.
+    double acceleratedFactor_ = 1.0;  ///< dimmFactor of an accelerated one.
+    double nominalDimmMean_ = 0.0;    ///< sampleNode's Poisson means.
+    double acceleratedDimmMean_ = 0.0;
+    double logIntermittentMin_ = 0.0;  ///< log of the activation-rate range.
+    double logIntermittentMax_ = 0.0;
 };
 
 } // namespace relaxfault

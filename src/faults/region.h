@@ -112,6 +112,22 @@ class FaultRegion
                           Visit &&visit) const;
 
     /**
+     * forEachSlice one row at a time: visit(bank, row, cols) once per
+     * affected (bank, row), with the cluster's column set, in the same
+     * order and with the same early exit. For walks that hoist per-row
+     * work out of the column loop.
+     */
+    template <typename Visit>
+    bool forEachSliceRow(const DramGeometry &geometry, Visit &&visit) const;
+
+    /**
+     * forEachRemapUnit one row at a time: visit(bank, row, groups) with
+     * the cluster's ascending column groups (see columnGroups).
+     */
+    template <typename Visit>
+    bool forEachRemapRow(const DramGeometry &geometry, Visit &&visit) const;
+
+    /**
      * Distinct remap-unit column groups (colBlock / 16) of @p cols in
      * ascending order, written to @p groups (previous contents dropped).
      */
@@ -168,19 +184,17 @@ class FaultRegion
 
   private:
     /** Call @p visit; false only if it is a bool visitor saying stop. */
-    template <typename Visit>
-    static bool visitOne(Visit &visit, unsigned bank, uint32_t row,
-                         uint16_t col)
+    template <typename Visit, typename... Args>
+    static bool visitOne(Visit &visit, const Args &...args)
     {
-        using Result =
-            std::invoke_result_t<Visit &, unsigned, uint32_t, uint16_t>;
+        using Result = std::invoke_result_t<Visit &, const Args &...>;
         static_assert(std::is_void_v<Result> || std::is_same_v<Result, bool>,
                       "a region visitor returns void or bool");
         if constexpr (std::is_void_v<Result>) {
-            visit(bank, row, col);
+            visit(args...);
             return true;
         } else {
-            return visit(bank, row, col);
+            return visit(args...);
         }
     }
 
@@ -189,7 +203,8 @@ class FaultRegion
 
 template <typename Visit>
 bool
-FaultRegion::forEachSlice(const DramGeometry &geometry, Visit &&visit) const
+FaultRegion::forEachSliceRow(const DramGeometry &geometry,
+                             Visit &&visit) const
 {
     for (const auto &cluster : clusters_) {
         for (unsigned bank = 0; bank < geometry.banksPerDevice; ++bank) {
@@ -199,13 +214,8 @@ FaultRegion::forEachSlice(const DramGeometry &geometry, Visit &&visit) const
             for (uint64_t ri = 0; ri < row_count; ++ri) {
                 const uint32_t row = cluster.rows.all
                     ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
-                const uint64_t col_count = cluster.cols.count(geometry);
-                for (uint64_t ci = 0; ci < col_count; ++ci) {
-                    const uint16_t col = cluster.cols.all
-                        ? static_cast<uint16_t>(ci) : cluster.cols.cols[ci];
-                    if (!visitOne(visit, bank, row, col))
-                        return false;
-                }
+                if (!visitOne(visit, bank, row, cluster.cols))
+                    return false;
             }
         }
     }
@@ -214,8 +224,25 @@ FaultRegion::forEachSlice(const DramGeometry &geometry, Visit &&visit) const
 
 template <typename Visit>
 bool
-FaultRegion::forEachRemapUnit(const DramGeometry &geometry,
-                              Visit &&visit) const
+FaultRegion::forEachSlice(const DramGeometry &geometry, Visit &&visit) const
+{
+    return forEachSliceRow(
+        geometry, [&](unsigned bank, uint32_t row, const ColSet &cols) {
+            const uint64_t col_count = cols.count(geometry);
+            for (uint64_t ci = 0; ci < col_count; ++ci) {
+                const uint16_t col = cols.all ? static_cast<uint16_t>(ci)
+                                              : cols.cols[ci];
+                if (!visitOne(visit, bank, row, col))
+                    return false;
+            }
+            return true;
+        });
+}
+
+template <typename Visit>
+bool
+FaultRegion::forEachRemapRow(const DramGeometry &geometry,
+                             Visit &&visit) const
 {
     std::vector<uint16_t> groups;
     for (const auto &cluster : clusters_) {
@@ -227,14 +254,28 @@ FaultRegion::forEachRemapUnit(const DramGeometry &geometry,
             for (uint64_t ri = 0; ri < row_count; ++ri) {
                 const uint32_t row = cluster.rows.all
                     ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
-                for (const auto group : groups) {
-                    if (!visitOne(visit, bank, row, group))
-                        return false;
-                }
+                if (!visitOne(visit, bank, row, groups))
+                    return false;
             }
         }
     }
     return true;
+}
+
+template <typename Visit>
+bool
+FaultRegion::forEachRemapUnit(const DramGeometry &geometry,
+                              Visit &&visit) const
+{
+    return forEachRemapRow(
+        geometry, [&](unsigned bank, uint32_t row,
+                      const std::vector<uint16_t> &groups) {
+            for (const auto group : groups) {
+                if (!visitOne(visit, bank, row, group))
+                    return false;
+            }
+            return true;
+        });
 }
 
 } // namespace relaxfault

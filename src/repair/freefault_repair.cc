@@ -30,22 +30,42 @@ FreeFaultRepair::tryRepair(const FaultRecord &fault)
     if (total_lines > tracker_.budget().maxLines)
         return false;
 
+    if (colDelta_.empty()) {
+        const uint64_t origin = map_.encode(LineCoord{});
+        colDelta_.resize(geometry.colBlocksPerRow);
+        for (unsigned col = 0; col < geometry.colBlocksPerRow; ++col) {
+            LineCoord coord;
+            coord.colBlock = col;
+            const uint64_t delta = map_.encode(coord) ^ origin;
+            colDelta_[col] = {indexer_.setIndex(delta),
+                              delta >> geometry.offsetBits()};
+        }
+    }
+
     // Lines stream into the tracker as the regions are walked; the walk
-    // stops at the first one that does not fit.
+    // stops at the first one that does not fit. Each (bank, row) is
+    // encoded once, at column 0; its lines are that line XOR colDelta_.
     return tracker_.tryAdd([&](RepairLineTracker::Stage &stage) {
         for (const auto &part : fault.parts) {
             LineCoord coord;
             coord.channel = part.dimm / geometry.ranksPerChannel;
             coord.rank = part.dimm % geometry.ranksPerChannel;
-            const bool fits = part.region.forEachSlice(
+            const bool fits = part.region.forEachSliceRow(
                 geometry,
-                [&](unsigned bank, uint32_t row, uint16_t col_block) {
+                [&](unsigned bank, uint32_t row, const ColSet &cols) {
                     coord.bank = bank;
                     coord.row = row;
-                    coord.colBlock = col_block;
                     const uint64_t pa = map_.encode(coord);
-                    return stage(indexer_.setIndex(pa),
-                                 pa >> geometry.offsetBits());
+                    const uint64_t set = indexer_.setIndex(pa);
+                    const uint64_t key = pa >> geometry.offsetBits();
+                    const uint64_t col_count = cols.count(geometry);
+                    for (uint64_t ci = 0; ci < col_count; ++ci) {
+                        const LineDelta &delta =
+                            colDelta_[cols.all ? ci : cols.cols[ci]];
+                        if (!stage(set ^ delta.set, key ^ delta.key))
+                            return false;
+                    }
+                    return true;
                 });
             if (!fits)
                 return;

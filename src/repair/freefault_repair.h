@@ -14,6 +14,8 @@
 #ifndef RELAXFAULT_REPAIR_FREEFAULT_REPAIR_H
 #define RELAXFAULT_REPAIR_FREEFAULT_REPAIR_H
 
+#include <vector>
+
 #include "cache/cache_geometry.h"
 #include "dram/address_map.h"
 #include "repair/line_tracker.h"
@@ -68,6 +70,23 @@ class FreeFaultRepair : public RepairMechanism
     DramAddressMap map_;
     SetIndexer indexer_;
     RepairLineTracker tracker_;
+
+    /** LLC set and tracker-key change of a line moved to another
+     *  column of its row. */
+    struct LineDelta
+    {
+        uint64_t set = 0;
+        uint64_t key = 0;
+    };
+
+    /**
+     * colDelta_[k]: the set and key of encode({k}) ^ encode({}). The
+     * mapping is affine in the column (AddressMapping's contract) and
+     * the set index and key are linear in the address, so a line's set
+     * and key are those of its row's column-0 line XOR this delta.
+     * Filled by the first tryRepair, which keeps construction cheap.
+     */
+    std::vector<LineDelta> colDelta_;
 };
 
 } // namespace relaxfault

@@ -35,10 +35,10 @@ PprRepair::groupKey(unsigned dimm, unsigned device, unsigned group) const
 bool
 PprRepair::tryRepair(const FaultRecord &fault)
 {
-    // Gather the distinct rows the fault needs, then check spare
-    // availability per bank group before committing anything.
+    // Gather the distinct rows the fault needs, failing at the first
+    // bank group that runs out of spares; nothing is committed before
+    // every row has a spare.
     std::vector<std::pair<uint64_t, uint64_t>> new_rows;  // (rowKey, gKey)
-    std::unordered_map<uint64_t, unsigned> group_need;
 
     for (const auto &part : fault.parts) {
         if (part.region.massive())
@@ -48,35 +48,28 @@ PprRepair::tryRepair(const FaultRecord &fault)
                 if (!(cluster.bankMask & (1u << bank)))
                     continue;
                 const unsigned group = bank / banksPerGroup_;
+                const uint64_t gkey = groupKey(part.dimm, part.device, group);
+                const auto it = groupUse_.find(gkey);
+                const unsigned used = it == groupUse_.end() ? 0 : it->second;
                 for (const auto row : cluster.rows.rows) {
                     const uint64_t rkey =
                         rowKey(part.dimm, part.device, bank, row);
                     if (repairedRows_.count(rkey))
                         continue;
+                    unsigned need = 1;
                     bool pending = false;
-                    for (const auto &[existing, gkey] : new_rows) {
-                        (void)gkey;
-                        if (existing == rkey) {
-                            pending = true;
-                            break;
-                        }
+                    for (const auto &[existing, existing_group] : new_rows) {
+                        pending = pending || existing == rkey;
+                        need += existing_group == gkey;
                     }
                     if (pending)
                         continue;
-                    const uint64_t gkey =
-                        groupKey(part.dimm, part.device, group);
+                    if (used + need > sparesPerGroup_)
+                        return false;
                     new_rows.emplace_back(rkey, gkey);
-                    ++group_need[gkey];
                 }
             }
         }
-    }
-
-    for (const auto &[gkey, need] : group_need) {
-        const auto it = groupUse_.find(gkey);
-        const unsigned used = it == groupUse_.end() ? 0 : it->second;
-        if (used + need > sparesPerGroup_)
-            return false;
     }
 
     for (const auto &[rkey, gkey] : new_rows) {

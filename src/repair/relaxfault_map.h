@@ -23,6 +23,7 @@
 #define RELAXFAULT_REPAIR_RELAXFAULT_MAP_H
 
 #include <cstdint>
+#include <vector>
 
 #include "cache/cache_geometry.h"
 #include "dram/geometry.h"
@@ -88,6 +89,38 @@ class RelaxFaultMap
 
     /** Map a remap unit to its LLC set and repair tag. */
     RemapLocation locate(const RemapUnit &unit) const;
+
+    /**
+     * Visit the location of @p unit at each column group of @p groups,
+     * in order, as visit(set, key), where key is RemapLocation::key. A
+     * false from the visitor stops the walk, which then returns false.
+     * The structured modes locate the row once: the column group is the
+     * low field of the set index and no tag bit depends on it, so each
+     * unit's set and key are the row's group-0 ones XOR the group.
+     * HashOnly's set is a hash of the group, so it locates every unit.
+     */
+    template <typename Visit>
+    bool forEachGroup(RemapUnit unit, const std::vector<uint16_t> &groups,
+                      Visit &&visit) const
+    {
+        if (mode_ == IndexMode::HashOnly) {
+            for (const auto group : groups) {
+                unit.colGroup = group;
+                const RemapLocation loc = locate(unit);
+                if (!visit(loc.set, loc.key(setBits_)))
+                    return false;
+            }
+            return true;
+        }
+        unit.colGroup = 0;
+        const RemapLocation row = locate(unit);
+        const uint64_t key = row.key(setBits_);
+        for (const auto group : groups) {
+            if (!visit(row.set ^ group, key ^ group))
+                return false;
+        }
+        return true;
+    }
 
     /** Inverse of locate(); used by tests to prove the map is injective.*/
     RemapUnit invert(const RemapLocation &location) const;

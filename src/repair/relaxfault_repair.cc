@@ -55,22 +55,20 @@ RelaxFaultRepair::tryRepair(const FaultRecord &fault)
     if (total_units > tracker_.budget().maxLines)
         return false;
 
-    // Units stream into the tracker as the regions are walked; the walk
-    // stops at the first one that does not fit.
+    // Units stream into the tracker as the regions are walked, one row
+    // at a time; the walk stops at the first one that does not fit.
     const bool repaired =
         tracker_.tryAdd([&](RepairLineTracker::Stage &stage) {
             for (const auto &part : fault.parts) {
                 RemapUnit unit;
                 unit.dimm = part.dimm;
                 unit.device = part.device;
-                const bool fits = part.region.forEachRemapUnit(
-                    dram_,
-                    [&](unsigned bank, uint32_t row, uint16_t col_group) {
+                const bool fits = part.region.forEachRemapRow(
+                    dram_, [&](unsigned bank, uint32_t row,
+                               const std::vector<uint16_t> &groups) {
                         unit.bank = bank;
                         unit.row = row;
-                        unit.colGroup = col_group;
-                        const RemapLocation loc = map_.locate(unit);
-                        return stage(loc.set, loc.key(map_.setBits()));
+                        return map_.forEachGroup(unit, groups, stage);
                     });
                 if (!fits)
                     return;

@@ -109,6 +109,31 @@ TEST(MappingProperty, EveryMappingIsABijectionOverFuzzedGeometries)
     }
 }
 
+TEST(AddressMap, EveryRegistrySchemeIsAffine)
+{
+    // AddressMapping's contract, which FreeFault's row-hoisted walk
+    // relies on: a line's address is its row's column-0 address XOR the
+    // column's delta encode({k}) ^ encode({}).
+    Rng rng(1206);
+    for (const DramGeometry &geometry : fuzzedGeometries()) {
+        for (const std::string &name : addressMappingNames()) {
+            const DramAddressMap map = makeAddressMap(name, geometry);
+            const uint64_t origin = map.encode(LineCoord{});
+            for (unsigned i = 0; i < 200; ++i) {
+                const LineCoord coord = randomCoord(geometry, rng);
+                LineCoord row_start = coord;
+                row_start.colBlock = 0;
+                LineCoord column;
+                column.colBlock = coord.colBlock;
+                ASSERT_EQ(map.encode(coord), map.encode(row_start) ^
+                                                 map.encode(column) ^ origin)
+                    << name << " bank " << coord.bank << " row "
+                    << coord.row << " col " << coord.colBlock;
+            }
+        }
+    }
+}
+
 TEST(MappingProperty, PackUnpackCoordBitsRoundTrips)
 {
     Rng rng(7);

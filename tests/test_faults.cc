@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -340,39 +341,101 @@ TEST_F(GeometrySamplerTest, ColumnRowCountMeanRoughlyCalibrated)
     EXPECT_LT(stat.mean(), 1.15 * params_.columnRowsMean);
 }
 
-TEST_F(GeometrySamplerTest, SparseRandomRowsMatchLinearRejection)
+/**
+ * randomRows as it was before it sorted by construction: the same draws
+ * on both paths, the rows collected in draw order, then sorted by
+ * RowSet::of.
+ */
+RowSet
+sortedDrawRows(unsigned count, uint32_t base, uint32_t span, Rng &rng)
 {
-    // The sparse path marks chosen rows in a bitmap; it must accept the
-    // same draws, in the same order, as rejecting each repeat by a scan
-    // of the rows so far. Spans and counts cover the column (512-row
-    // subarray) and bank-medium (65,536-row bank) shapes, and repeated
-    // calls check the bitmap comes back clean.
-    auto linear = [](unsigned count, uint32_t base, uint32_t span,
-                     Rng &rng) {
-        std::vector<uint32_t> rows;
+    count = std::min(count, span);
+    std::vector<uint32_t> rows;
+    if (count * 3 >= span) {
+        std::vector<uint32_t> pool(span);
+        for (uint32_t i = 0; i < span; ++i)
+            pool[i] = base + i;
+        for (unsigned i = 0; i < count; ++i) {
+            const auto j = i + static_cast<uint32_t>(
+                rng.uniformInt(span - i));
+            std::swap(pool[i], pool[j]);
+            rows.push_back(pool[i]);
+        }
+    } else {
         while (rows.size() < count) {
             const auto row =
                 base + static_cast<uint32_t>(rng.uniformInt(span));
             if (std::find(rows.begin(), rows.end(), row) == rows.end())
                 rows.push_back(row);
         }
-        return RowSet::of(std::move(rows));
-    };
-    Rng pick(77);
-    for (int i = 0; i < 400; ++i) {
-        const bool bank = i % 2 == 0;
-        const uint32_t span = bank ? geometry_.rowsPerBank : 512;
-        const uint32_t base = bank ? 0 : 512 * (1 + i % 100);
-        const auto count = static_cast<unsigned>(
-            1 + pick.uniformInt(bank ? 320 : span / 3 - 1));
-        ASSERT_LT(count * 3, span);
-        Rng a(9000 + i);
-        Rng b(9000 + i);
-        const RowSet rows = sampler_.randomRows(count, base, span, a);
-        ASSERT_EQ(rows, linear(count, base, span, b)) << i;
-        ASSERT_EQ(rows.rows.size(), count);
-        ASSERT_EQ(a.next(), b.next()) << "same draws consumed";
     }
+    return RowSet::of(std::move(rows));
+}
+
+TEST_F(GeometrySamplerTest, RandomRowsMatchSortedDraws)
+{
+    // Fixed shapes: both paths, zero and non-zero bases, spans that are
+    // not a multiple of 64 (or of 4,096, one summary word), count 1 and
+    // count >= span. Then random shapes, with large and small spans
+    // interleaved so a bitmap left dirty by one call shows in the next.
+    struct Shape
+    {
+        unsigned count;
+        uint32_t base;
+        uint32_t span;
+    };
+    std::vector<Shape> shapes = {
+        {1, 0, 65536},      {1, 4096, 512},     {1, 7, 1},
+        {192, 0, 65536},    {320, 0, 65536},    {4, 123456, 65536},
+        {90, 512 * 9, 512}, {171, 512, 512},    {400, 1024, 512},
+        {512, 0, 512},      {700, 3, 512},      {5, 17, 1000},
+        {334, 17, 1000},    {33, 99, 100},      {2, 64, 63},
+        {40, 1, 65},        {1500, 5, 4097},    {900, 0, 4097},
+        {10, 70000, 12345}, {50000, 0, 65536},
+    };
+    Rng pick(1206);
+    for (int i = 0; i < 400; ++i) {
+        // The column (512-row subarray) and bank-medium shapes.
+        const bool bank = i % 2 == 0;
+        shapes.push_back({static_cast<unsigned>(
+                              1 + pick.uniformInt(bank ? 320 : 170)),
+                          bank ? 0 : 512u * (1 + i % 100),
+                          bank ? 65536u : 512u});
+    }
+    for (int i = 0; i < 300; ++i) {
+        const auto span = static_cast<uint32_t>(
+            i % 3 == 0 ? 65536 : 1 + pick.uniformInt(2000));
+        const bool any_count = i % 5 == 0 && span <= 2000;
+        const auto count = static_cast<unsigned>(1 + pick.uniformInt(
+            any_count ? span + 10 : std::min(span / 4 + 1, 400u)));
+        shapes.push_back({count,
+                          static_cast<uint32_t>(pick.uniformInt(1u << 20)),
+                          span});
+    }
+
+    // Two threads at once: each keeps its own bitmap.
+    auto check = [&](uint64_t seed, unsigned &mismatches) {
+        for (size_t i = 0; i < shapes.size(); ++i) {
+            const Shape &shape = shapes[i];
+            Rng a(seed + i);
+            Rng b(seed + i);
+            const RowSet rows =
+                sampler_.randomRows(shape.count, shape.base, shape.span, a);
+            const RowSet expected =
+                sortedDrawRows(shape.count, shape.base, shape.span, b);
+            mismatches += rows != expected;
+            mismatches += a.next() != b.next();
+            mismatches += rows.all ||
+                rows.rows.size() != std::min(shape.count, shape.span);
+        }
+    };
+    unsigned first = 0;
+    unsigned second = 0;
+    std::thread other([&] { check(5150, second); });
+    check(4242, first);
+    other.join();
+    EXPECT_EQ(first, 0u);
+    EXPECT_EQ(second, 0u);
 }
 
 TEST_F(GeometrySamplerTest, BankExtentMixture)

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -378,7 +379,8 @@ TEST(LineTracker, CorruptedLoadAboveTheWayCeilingStaysInItsRow)
 /**
  * The lines a FreeFault or RelaxFault repair of @p fault locks, built the
  * way the mechanisms built them before their walks streamed into the
- * tracker: every line of every part, in walk order.
+ * tracker and hoisted per-row work: one encode (or locate) for every
+ * line of every part, in walk order.
  */
 std::vector<std::pair<uint64_t, uint64_t>>
 materializedLines(const FreeFaultRepair &repair, const FaultRecord &fault)
@@ -482,23 +484,38 @@ expectStreamingMatchesMaterialized(Make make, uint64_t seed)
 
 TEST(StreamingRepair, FreeFaultMatchesMaterializedLines)
 {
-    const DramAddressMap map(geom(), true);
-    expectStreamingMatchesMaterialized(
-        [&](const RepairBudget &budget) {
-            return std::make_unique<FreeFaultRepair>(map, llc(), budget,
-                                                     true);
-        },
-        1206);
+    // The row-hoisted walk derives a row's lines from one encode and a
+    // column-delta table; the reference encodes every line. Every
+    // registered mapping, with and without LLC set hashing.
+    for (const std::string &name : addressMappingNames()) {
+        const DramAddressMap map = makeAddressMap(name, geom());
+        for (const bool xor_hash : {true, false}) {
+            SCOPED_TRACE(name + (xor_hash ? " xor_hash" : " no hash"));
+            expectStreamingMatchesMaterialized(
+                [&](const RepairBudget &budget) {
+                    return std::make_unique<FreeFaultRepair>(
+                        map, llc(), budget, xor_hash);
+                },
+                1206);
+        }
+    }
 }
 
 TEST(StreamingRepair, RelaxFaultMatchesMaterializedLines)
 {
-    expectStreamingMatchesMaterialized(
-        [](const RepairBudget &budget) {
-            return std::make_unique<RelaxFaultRepair>(geom(), llc(), budget,
-                                                      true);
-        },
-        4242);
+    // The row-hoisted walk locates each row once; the reference locates
+    // every unit. All three index modes: HashOnly keeps a per-unit hash.
+    for (const auto mode : {RelaxFaultMap::IndexMode::StructuredFolded,
+                            RelaxFaultMap::IndexMode::Structured,
+                            RelaxFaultMap::IndexMode::HashOnly}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        expectStreamingMatchesMaterialized(
+            [&](const RepairBudget &budget) {
+                return std::make_unique<RelaxFaultRepair>(geom(), llc(),
+                                                          budget, mode);
+            },
+            4242);
+    }
 }
 
 class RelaxFaultRepairTest : public ::testing::Test
