@@ -236,7 +236,7 @@ makeFactory(const MechanismSpec &spec, const DramGeometry &geometry,
 inline LifetimeSimulator::MechanismFactory
 makeFactory(const MechanismSpec &spec, const DramGeometry &geometry)
 {
-    return makeFactory(spec, geometry, DramAddressMap(geometry, true));
+    return makeFactory(spec, geometry, makeAddressMap("fig7a", geometry));
 }
 
 } // namespace relaxfault::bench

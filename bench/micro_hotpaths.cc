@@ -53,43 +53,45 @@ using namespace relaxfault;
 const DramGeometry kGeometry;
 const CacheGeometry kLlc{8 * 1024 * 1024, 16, 64};
 
+/**
+ * One decode row and one encode row per registered scheme. The default
+ * geometry's address space and row count are powers of two, so the
+ * loops step with a mask, not a 64-bit modulo.
+ */
 void
-BM_DramAddressMapDecode(benchmark::State &state)
+BM_AddressMapDecode(benchmark::State &state, const char *scheme)
 {
-    const DramAddressMap map(kGeometry, true);
+    const DramAddressMap map = makeAddressMap(scheme, kGeometry);
+    const uint64_t mask = kGeometry.nodeBytes() - 1;
     Rng rng(1);
-    uint64_t pa = rng.next() % kGeometry.nodeBytes();
+    uint64_t pa = rng.next() & mask;
     for (auto _ : state) {
         benchmark::DoNotOptimize(map.decode(pa));
-        pa = (pa + 4097 * 64) % kGeometry.nodeBytes();
+        pa = (pa + 4097 * 64) & mask;
     }
 }
-BENCHMARK(BM_DramAddressMapDecode);
+BENCHMARK_CAPTURE(BM_AddressMapDecode, fig7a, "fig7a");
+BENCHMARK_CAPTURE(BM_AddressMapDecode, fig7a_nohash, "fig7a_nohash");
+BENCHMARK_CAPTURE(BM_AddressMapDecode, intel_ivy, "intel_ivy");
+BENCHMARK_CAPTURE(BM_AddressMapDecode, intel_haswell, "intel_haswell");
+BENCHMARK_CAPTURE(BM_AddressMapDecode, amd_zen, "amd_zen");
 
 void
-BM_XorMappingDecode(benchmark::State &state)
+BM_AddressMapEncode(benchmark::State &state, const char *scheme)
 {
-    const DramAddressMap map = makeAddressMap("intel_ivy", kGeometry);
-    Rng rng(1);
-    uint64_t pa = rng.next() % kGeometry.nodeBytes();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(map.decode(pa));
-        pa = (pa + 4097 * 64) % kGeometry.nodeBytes();
-    }
-}
-BENCHMARK(BM_XorMappingDecode);
-
-void
-BM_XorMappingEncode(benchmark::State &state)
-{
-    const DramAddressMap map = makeAddressMap("intel_ivy", kGeometry);
+    const DramAddressMap map = makeAddressMap(scheme, kGeometry);
+    const unsigned row_mask = kGeometry.rowsPerBank - 1;
     LineCoord coord{1, 0, 3, 4242, 17};
     for (auto _ : state) {
         benchmark::DoNotOptimize(map.encode(coord));
-        coord.row = (coord.row + 97) % kGeometry.rowsPerBank;
+        coord.row = (coord.row + 97) & row_mask;
     }
 }
-BENCHMARK(BM_XorMappingEncode);
+BENCHMARK_CAPTURE(BM_AddressMapEncode, fig7a, "fig7a");
+BENCHMARK_CAPTURE(BM_AddressMapEncode, fig7a_nohash, "fig7a_nohash");
+BENCHMARK_CAPTURE(BM_AddressMapEncode, intel_ivy, "intel_ivy");
+BENCHMARK_CAPTURE(BM_AddressMapEncode, intel_haswell, "intel_haswell");
+BENCHMARK_CAPTURE(BM_AddressMapEncode, amd_zen, "amd_zen");
 
 void
 BM_RelaxFaultMapLocate(benchmark::State &state)
@@ -232,7 +234,7 @@ BM_FreeFaultTryRepairRejected(benchmark::State &state)
     FaultRecord fault;
     fault.persistence = Persistence::Permanent;
     fault.parts.push_back({0, 3, FaultRegion({cluster})});
-    FreeFaultRepair repair(DramAddressMap(kGeometry, true), kLlc,
+    FreeFaultRepair repair(makeAddressMap("fig7a", kGeometry), kLlc,
                            RepairBudget{1, 32768}, true);
     for (auto _ : state) {
         if (repair.tryRepair(fault)) {
@@ -255,7 +257,7 @@ BM_FreeFaultTryRepairRowFault(benchmark::State &state)
     FaultRecord fault;
     fault.persistence = Persistence::Permanent;
     fault.parts.push_back({0, 3, FaultRegion({cluster})});
-    FreeFaultRepair repair(DramAddressMap(kGeometry, true), kLlc,
+    FreeFaultRepair repair(makeAddressMap("fig7a", kGeometry), kLlc,
                            RepairBudget{4, 32768}, true);
     for (auto _ : state) {
         if (!repair.tryRepair(fault)) {

@@ -1,11 +1,11 @@
 /**
  * @file
- * Physical-address <-> DRAM-coordinate mapping (paper Fig. 7a).
+ * Physical-address <-> DRAM-coordinate mapping.
  *
  * Modern controllers swizzle physical-address bits so that consecutive
  * lines rotate across channels and banks while staying in an open row as
- * long as possible. We implement the Nehalem-style layout the paper uses
- * as its running example, from LSB to MSB of the line address:
+ * long as possible. The paper's running example (Fig. 7a) is the
+ * Nehalem-style layout, from LSB to MSB of the line address:
  *
  *   channel | column-low | bank | column-high | rank | row
  *
@@ -13,17 +13,21 @@
  * index, so the lines of one DRAM row occupy distinct sets even without
  * LLC set hashing — while a column fault's lines (row bits vary, column
  * bits fixed) pile up, which is exactly the asymmetry Fig. 8 shows for
- * FreeFault.
+ * FreeFault. The paper's memory controller adds the permutation-based
+ * bank hash of Zhang et al. (bank XOR row-low, Table 3).
  *
- * plus the optional permutation-based bank hash of Zhang et al. (bank XOR
- * row-low), which the paper's memory controller enables (Table 3).
+ * That layout, hash included, is GF(2)-linear: every DRAM-coordinate bit
+ * is the XOR of a mask of line-address bits. So are the Intel and AMD
+ * functions DRAMDig and Knock-Knock recover from real parts. One class,
+ * `DramAddressMap`, therefore runs every scheme: it is built from an
+ * `XorScheme` (one decode mask per coordinate bit), inverts it once by
+ * Gauss-Jordan elimination over GF(2), and precomputes byte-sliced
+ * lookup tables for both directions. `makeAddressMap` builds any
+ * registered scheme by name: `fig7a` (the default, bit-identical to the
+ * seed), `fig7a_nohash`, `intel_ivy`, `intel_haswell`, `amd_zen`.
  *
- * The layout lives in `Fig7aMapping`, one strategy behind the pluggable
- * `AddressMapping` interface (address_mapping.h); `DramAddressMap` is
- * the cheap-to-copy value handle the rest of the system passes around.
- * `makeAddressMap` instantiates any registered strategy by name
- * (`fig7a` — the default, bit-identical to the seed — `fig7a_nohash`,
- * `intel_ivy`, `intel_haswell`, `amd_zen`).
+ * Coordinate bits pack LSB-first as: channel | rank | bank | row | col.
+ * Masks index line-address bits, i.e. bit 0 of `pa >> offsetBits`.
  */
 
 #ifndef RELAXFAULT_DRAM_ADDRESS_MAP_H
@@ -32,96 +36,167 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "dram/address_mapping.h"
 #include "dram/geometry.h"
 
 namespace relaxfault {
 
-/** The seed Fig. 7a scheme: contiguous fields + optional bank hash. */
-class Fig7aMapping : public AddressMapping
+/**
+ * The canonical coordinate-bit vector of a geometry
+ * (channel | rank | bank | row | col, LSB-first). Packing truncates each
+ * field to its width.
+ */
+struct CoordBitLayout
 {
-  public:
-    /**
-     * @param geometry Memory-system shape; field widths derive from it.
-     * @param bank_xor_hash Enable the bank XOR row-low permutation.
-     * @param col_low_bits How many column-block bits sit below the bank
-     *        field (the rest sit above rank); 6 of 8 in the example map.
-     */
-    explicit Fig7aMapping(const DramGeometry &geometry,
-                          bool bank_xor_hash = true,
-                          unsigned col_low_bits = 6);
+    explicit CoordBitLayout(const DramGeometry &geometry);
 
-    uint64_t encode(const LineCoord &coord) const override;
-    LineCoord decode(uint64_t pa) const override;
+    uint64_t pack(const LineCoord &coord) const
+    {
+        return (coord.channel & channelMask) |
+               ((coord.rank & rankMask) << rankLsb) |
+               ((coord.bank & bankMask) << bankLsb) |
+               ((coord.row & rowMask) << rowLsb) |
+               ((coord.colBlock & colMask) << colLsb);
+    }
 
-    bool bankXorHash() const { return bankXorHash_; }
+    LineCoord unpack(uint64_t bits) const
+    {
+        LineCoord coord;
+        coord.channel = static_cast<unsigned>(bits & channelMask);
+        coord.rank = static_cast<unsigned>((bits >> rankLsb) & rankMask);
+        coord.bank = static_cast<unsigned>((bits >> bankLsb) & bankMask);
+        coord.row = static_cast<unsigned>((bits >> rowLsb) & rowMask);
+        coord.colBlock = static_cast<unsigned>((bits >> colLsb) & colMask);
+        return coord;
+    }
 
-    /** LSB position of each field within the physical address. */
-    unsigned channelLsb() const { return channelLsb_; }
-    unsigned colLowLsb() const { return colLowLsb_; }
-    unsigned bankLsb() const { return bankLsb_; }
-    unsigned rankLsb() const { return rankLsb_; }
-    unsigned colHighLsb() const { return colHighLsb_; }
-    unsigned rowLsb() const { return rowLsb_; }
-    unsigned colLowBits() const { return colLowBits_; }
-    unsigned colHighBits() const { return colHighBits_; }
+    uint64_t channelMask, rankMask, bankMask, rowMask, colMask;
+    unsigned rankLsb, bankLsb, rowLsb, colLsb;
+};
 
-  private:
-    /** Bank permutation: physical bank = bank XOR low row bits. */
-    unsigned permuteBank(unsigned bank, unsigned row) const;
+/** Pack a coordinate into its canonical bit vector. */
+uint64_t packCoordBits(const DramGeometry &geometry,
+                       const LineCoord &coord);
 
-    bool bankXorHash_;
-    unsigned colLowBits_;
-    unsigned colHighBits_;
-    unsigned channelLsb_;
-    unsigned colLowLsb_;
-    unsigned bankLsb_;
-    unsigned rankLsb_;
-    unsigned colHighLsb_;
-    unsigned rowLsb_;
+/** Inverse of packCoordBits. */
+LineCoord unpackCoordBits(const DramGeometry &geometry, uint64_t bits);
+
+/**
+ * An XOR-bit scheme: decodeMasks[i] is the set of line-address bits
+ * whose parity yields canonical coordinate bit i. Must hold exactly
+ * `lineBits` masks and describe an invertible GF(2) matrix.
+ */
+struct XorScheme
+{
+    std::string name;
+    std::vector<uint64_t> decodeMasks;
 };
 
 /**
- * Value handle over a mapping strategy. Copies share the immutable
- * strategy object, so mechanisms can hold maps by value as before.
+ * The physical-address <-> DRAM-coordinate map: any invertible
+ * GF(2)-linear XOR scheme. Construction panics on a malformed or
+ * non-invertible scheme, so every map is a bijection.
+ *
+ * Decode XORs one 256-entry table per byte of the line address into the
+ * packed coordinate bits and unpacks them; encode packs the coordinate
+ * and XORs one table per byte of the packed bits into the address. The
+ * tables are immutable and shared, so copies are cheap and mechanisms
+ * hold maps by value.
+ *
+ * Contract: every map is GF(2)-affine in the column, i.e. for any
+ * coordinate c with column block k,
+ *
+ *   encode(c) == encode(c with colBlock 0) ^ encode({k}) ^ encode({})
+ *
+ * where {k} is the all-zero coordinate with column block k. A linear
+ * map meets it trivially; FreeFault's repair walk relies on it to
+ * encode one line per (bank, row) and derive the row's other lines
+ * from a per-column delta.
  */
 class DramAddressMap
 {
   public:
-    /** The seed constructor: a Fig. 7a map (bit-identical default). */
-    explicit DramAddressMap(const DramGeometry &geometry,
-                            bool bank_xor_hash = true,
-                            unsigned col_low_bits = 6)
-        : impl_(std::make_shared<Fig7aMapping>(geometry, bank_xor_hash,
-                                               col_low_bits))
-    {
-    }
-
-    /** Wrap any strategy (from makeAddressMapping or hand-built). */
-    explicit DramAddressMap(std::shared_ptr<const AddressMapping> impl);
+    /** Panics if the scheme is malformed or not invertible. */
+    DramAddressMap(const DramGeometry &geometry, XorScheme scheme);
 
     /** Translate DRAM coordinates to a full physical (byte) address. */
     uint64_t encode(const LineCoord &coord) const
     {
-        return impl_->encode(coord);
+        const Tables &tables = *tables_;
+        const uint64_t bits = tables.layout.pack(coord);
+        uint64_t pa = 0;
+        for (unsigned k = 0; k < tables.slices; ++k)
+            pa ^= tables.encode[k][(bits >> (8 * k)) & 0xff];
+        return pa;
     }
 
     /** Translate a physical address to DRAM coordinates. */
-    LineCoord decode(uint64_t pa) const { return impl_->decode(pa); }
+    LineCoord decode(uint64_t pa) const
+    {
+        const Tables &tables = *tables_;
+        const uint64_t line = pa >> tables.offsetBits;
+        uint64_t bits = 0;
+        for (unsigned k = 0; k < tables.slices; ++k)
+            bits ^= tables.decode[k][(line >> (8 * k)) & 0xff];
+        return tables.layout.unpack(bits);
+    }
 
-    const DramGeometry &geometry() const { return impl_->geometry(); }
-    const std::string &name() const { return impl_->name(); }
-    const AddressMapping &impl() const { return *impl_; }
+    const DramGeometry &geometry() const { return tables_->geometry; }
+    const std::string &name() const { return tables_->name; }
+
+    /** Ground-truth masks (coordinate bit -> line-address bits). */
+    const std::vector<uint64_t> &decodeMasks() const
+    {
+        return tables_->decodeMasks;
+    }
+
+    /** Inverse masks (line-address bit -> coordinate bits). */
+    const std::vector<uint64_t> &encodeMasks() const
+    {
+        return tables_->encodeMasks;
+    }
 
   private:
-    std::shared_ptr<const AddressMapping> impl_;
+    /** A 64-bit line address has at most 8 byte slices. */
+    static constexpr unsigned kMaxSlices = 8;
+
+    struct Tables
+    {
+        Tables(const DramGeometry &geometry, XorScheme scheme);
+
+        // The fields decode/encode read come first.
+        CoordBitLayout layout;
+        unsigned offsetBits;
+        unsigned slices;  ///< ceil(lineBits / 8).
+        /** decode[k][b]: packed coordinate bits of line byte k == b. */
+        uint64_t decode[kMaxSlices][256];
+        /** encode[k][b]: byte address of packed-coordinate byte k == b. */
+        uint64_t encode[kMaxSlices][256];
+
+        DramGeometry geometry;
+        std::string name;
+        std::vector<uint64_t> decodeMasks;
+        std::vector<uint64_t> encodeMasks;
+    };
+
+    std::shared_ptr<const Tables> tables_;
 };
 
+/** Registered scheme names, in registry order ("fig7a" first). */
+const std::vector<std::string> &addressMappingNames();
+
+/** True if @p name is registered. */
+bool isAddressMappingName(const std::string &name);
+
+/** "fig7a | fig7a_nohash | ..." for CLI diagnostics. */
+std::string addressMappingNamesHint();
+
 /**
- * Instantiate a registered mapping by name as a value handle; panics
- * (with the known-names list) on an unknown name — CLI layers validate
- * first via `isAddressMappingName`.
+ * Build a registered scheme by name; panics (with the known-names list)
+ * on an unknown name — CLI layers validate first via
+ * `isAddressMappingName`. Each thread builds a (name, geometry) once;
+ * later calls return copies that share its tables.
  */
 DramAddressMap makeAddressMap(const std::string &name,
                               const DramGeometry &geometry);

@@ -32,6 +32,8 @@ struct DramGeometry
     unsigned colBlocksPerRow = 256;
     unsigned lineBytes = 64;
 
+    bool operator==(const DramGeometry &) const = default;
+
     /** Devices per rank including the ECC check devices. */
     unsigned devicesPerRank() const
     {

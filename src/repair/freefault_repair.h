@@ -81,7 +81,7 @@ class FreeFaultRepair : public RepairMechanism
 
     /**
      * colDelta_[k]: the set and key of encode({k}) ^ encode({}). The
-     * mapping is affine in the column (AddressMapping's contract) and
+     * mapping is affine in the column (DramAddressMap's contract) and
      * the set index and key are linear in the address, so a line's set
      * and key are those of its row's column-0 line XOR this delta.
      * Filled by the first tryRepair, which keeps construction cheap.

@@ -4,12 +4,14 @@
  *
  * Pins the pluggable address-mapping subsystem from three directions:
  *
- *  1. Properties: every registered strategy is a bijection over fuzzed
+ *  1. Properties: every registered scheme is a bijection over fuzzed
  *     geometry shapes (decode(encode(c)) == c and encode(decode(pa)) ==
- *     pa), and the seed Fig. 7a arithmetic equals its expression as a
- *     generic XOR scheme — including the bank XOR row-low permutation.
- *  2. Seed pins: frozen golden encode values keep the default mapping
- *     bit-identical to the seed across refactors.
+ *     pa), and its table-driven decode/encode equals two references
+ *     kept in this file: the per-bit parity product of its XOR masks,
+ *     and, for fig7a/fig7a_nohash, the seed's Fig. 7a field arithmetic
+ *     (bank XOR row-low permutation included).
+ *  2. Seed pins: frozen golden encode values keep every registered
+ *     scheme bit-identical across refactors.
  *  3. Inference differential: map_infer's GF(2) recovery must exactly
  *     reproduce the masks of every registered scheme (oracle and
  *     observation-log modes), and a corrupted log must fail loudly
@@ -22,10 +24,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bench_util.h"
 #include "campaign_bench.h"
+#include "common/bitops.h"
 #include "common/cli.h"
 #include "common/rng.h"
 #include "dram/address_map.h"
@@ -84,6 +88,98 @@ randomLinePa(const DramGeometry &geometry, Rng &rng)
            geometry.lineBytes;
 }
 
+/**
+ * Reference 1: the seed's Fig. 7a field arithmetic (channel | col-low |
+ * bank | col-high | rank | row from the line offset up, 6 column bits
+ * below the bank field), with Zhang et al.'s bank XOR row-low
+ * permutation when @p hash is set.
+ */
+struct SeedFig7a
+{
+    SeedFig7a(const DramGeometry &geometry, bool hash)
+        : g(geometry), hash(hash)
+    {
+        colLowBits = std::min(6u, g.colBlockBits());
+        colHighBits = g.colBlockBits() - colLowBits;
+        channelLsb = g.offsetBits();
+        colLowLsb = channelLsb + g.channelBits();
+        bankLsb = colLowLsb + colLowBits;
+        colHighLsb = bankLsb + g.bankBits();
+        rankLsb = colHighLsb + colHighBits;
+        rowLsb = rankLsb + g.rankBits();
+    }
+
+    unsigned permuteBank(unsigned bank, unsigned row) const
+    {
+        return hash ? bank ^ (row & maskBits(g.bankBits())) : bank;
+    }
+
+    uint64_t encode(const LineCoord &coord) const
+    {
+        uint64_t pa = 0;
+        pa = depositBits(pa, channelLsb, g.channelBits(), coord.channel);
+        pa = depositBits(pa, colLowLsb, colLowBits,
+                         coord.colBlock & maskBits(colLowBits));
+        pa = depositBits(pa, bankLsb, g.bankBits(),
+                         permuteBank(coord.bank, coord.row));
+        pa = depositBits(pa, rankLsb, g.rankBits(), coord.rank);
+        pa = depositBits(pa, colHighLsb, colHighBits,
+                         coord.colBlock >> colLowBits);
+        pa = depositBits(pa, rowLsb, g.rowBits(), coord.row);
+        return pa;
+    }
+
+    LineCoord decode(uint64_t pa) const
+    {
+        LineCoord coord;
+        coord.channel = static_cast<unsigned>(
+            extractBits(pa, channelLsb, g.channelBits()));
+        const auto col_low =
+            static_cast<unsigned>(extractBits(pa, colLowLsb, colLowBits));
+        const auto bank_field = static_cast<unsigned>(
+            extractBits(pa, bankLsb, g.bankBits()));
+        coord.rank =
+            static_cast<unsigned>(extractBits(pa, rankLsb, g.rankBits()));
+        const auto col_high = static_cast<unsigned>(
+            extractBits(pa, colHighLsb, colHighBits));
+        coord.row =
+            static_cast<unsigned>(extractBits(pa, rowLsb, g.rowBits()));
+        coord.colBlock = (col_high << colLowBits) | col_low;
+        coord.bank = permuteBank(bank_field, coord.row);
+        return coord;
+    }
+
+    DramGeometry g;
+    bool hash;
+    unsigned colLowBits, colHighBits, channelLsb, colLowLsb, bankLsb,
+        colHighLsb, rankLsb, rowLsb;
+};
+
+/** Reference 2: per-bit parity products over a map's XOR masks. */
+LineCoord
+parityDecode(const DramAddressMap &map, uint64_t pa)
+{
+    const uint64_t line = pa >> map.geometry().offsetBits();
+    uint64_t bits = 0;
+    for (unsigned i = 0; i < map.decodeMasks().size(); ++i)
+        bits |= static_cast<uint64_t>(
+                    __builtin_parityll(line & map.decodeMasks()[i]))
+                << i;
+    return unpackCoordBits(map.geometry(), bits);
+}
+
+uint64_t
+parityEncode(const DramAddressMap &map, const LineCoord &coord)
+{
+    const uint64_t bits = packCoordBits(map.geometry(), coord);
+    uint64_t line = 0;
+    for (unsigned j = 0; j < map.encodeMasks().size(); ++j)
+        line |= static_cast<uint64_t>(
+                    __builtin_parityll(bits & map.encodeMasks()[j]))
+                << j;
+    return line << map.geometry().offsetBits();
+}
+
 // ---------------------------------------------------------------------
 // 1. Properties over every registered mapping x fuzzed geometries.
 
@@ -111,7 +207,7 @@ TEST(MappingProperty, EveryMappingIsABijectionOverFuzzedGeometries)
 
 TEST(AddressMap, EveryRegistrySchemeIsAffine)
 {
-    // AddressMapping's contract, which FreeFault's row-hoisted walk
+    // DramAddressMap's contract, which FreeFault's row-hoisted walk
     // relies on: a line's address is its row's column-0 address XOR the
     // column's delta encode({k}) ^ encode({}).
     Rng rng(1206);
@@ -147,24 +243,51 @@ TEST(MappingProperty, PackUnpackCoordBitsRoundTrips)
     }
 }
 
-TEST(MappingProperty, Fig7aEqualsItsXorSchemeExpression)
+TEST(MappingProperty, TablesMatchParityAndSeedReferences)
 {
-    // The seed arithmetic (field extraction + the Zhang et al. bank XOR
-    // row-low permutation) and its expression as a generic GF(2) XOR
-    // scheme must be the same function — this is what lets map_infer
-    // treat every built-in, permutation included, as mask recovery.
+    // Every scheme's byte-sliced tables must compute the parity product
+    // of its masks (decode) and of their GF(2) inverse (encode), and
+    // fig7a/fig7a_nohash must also be the seed's field arithmetic, the
+    // function map_infer treats as mask recovery. Addresses carry stray
+    // bits in the line offset and above paBits(), which the seed
+    // ignores, and coordinates carry bits above each field's width,
+    // which the seed truncates: both pin the tables' index masking.
     Rng rng(11);
     for (const DramGeometry &geometry : fuzzedGeometries()) {
-        for (const bool hash : {true, false}) {
-            const Fig7aMapping legacy(geometry, hash);
-            const XorAddressMapping xorform(
-                geometry, fig7aXorScheme(geometry, hash));
+        const uint64_t stray_high = ~maskBits(geometry.paBits());
+        for (const std::string &name : addressMappingNames()) {
+            const DramAddressMap map = makeAddressMap(name, geometry);
+            ASSERT_EQ(map.encodeMasks().size(), map.decodeMasks().size());
+            const bool is_fig7a = name == "fig7a" || name == "fig7a_nohash";
+            const SeedFig7a seed(geometry, name == "fig7a");
             for (unsigned i = 0; i < 200; ++i) {
-                const uint64_t pa = randomLinePa(geometry, rng);
-                EXPECT_EQ(legacy.decode(pa), xorform.decode(pa)) << hash;
-                const LineCoord coord = randomCoord(geometry, rng);
-                EXPECT_EQ(legacy.encode(coord), xorform.encode(coord))
-                    << hash;
+                const uint64_t pa = randomLinePa(geometry, rng) |
+                                    (rng.next() & stray_high) |
+                                    rng.uniformInt(geometry.lineBytes);
+                const LineCoord decoded = map.decode(pa);
+                ASSERT_EQ(decoded, parityDecode(map, pa)) << name;
+                if (is_fig7a) {
+                    ASSERT_EQ(decoded, seed.decode(pa)) << name;
+                }
+
+                LineCoord coord = randomCoord(geometry, rng);
+                if (i % 2 == 1) {
+                    coord.channel = static_cast<unsigned>(rng.next());
+                    coord.rank = static_cast<unsigned>(rng.next());
+                    coord.bank = static_cast<unsigned>(rng.next());
+                    coord.row = static_cast<unsigned>(rng.next());
+                    coord.colBlock = static_cast<unsigned>(rng.next());
+                }
+                const uint64_t encoded = map.encode(coord);
+                ASSERT_EQ(encoded, parityEncode(map, coord)) << name;
+                if (is_fig7a) {
+                    ASSERT_EQ(encoded, seed.encode(coord)) << name;
+                }
+                // The parity encode is the inverse of the parity decode.
+                ASSERT_EQ(packCoordBits(geometry,
+                                        parityDecode(map, encoded)),
+                          packCoordBits(geometry, coord))
+                    << name;
             }
         }
     }
@@ -190,17 +313,17 @@ TEST(MappingProperty, NonDefaultSchemesDifferFromFig7a)
     }
 }
 
-TEST(MappingProperty, HandleCopiesShareTheStrategy)
+TEST(MappingProperty, CopiesShareTheTables)
 {
     const DramGeometry geometry;
     const DramAddressMap map = makeAddressMap("amd_zen", geometry);
     const DramAddressMap copy = map;  // NOLINT: the copy is the test.
-    EXPECT_EQ(&copy.impl(), &map.impl());
+    EXPECT_EQ(copy.decodeMasks().data(), map.decodeMasks().data());
     EXPECT_EQ(copy.name(), "amd_zen");
 }
 
 // ---------------------------------------------------------------------
-// 2. Seed pins: frozen golden values for the default mapping.
+// 2. Seed pins: frozen golden values for every registered mapping.
 
 TEST(MappingSeedPin, Fig7aGoldenEncodeValues)
 {
@@ -208,8 +331,8 @@ TEST(MappingSeedPin, Fig7aGoldenEncodeValues)
     // change here is a break of the bit-identity contract that the
     // fig08/fig12 CI gates also enforce end-to-end.
     const DramGeometry geometry;
-    const DramAddressMap hash(geometry, true);
-    const DramAddressMap nohash(geometry, false);
+    const DramAddressMap hash = makeAddressMap("fig7a", geometry);
+    const DramAddressMap nohash = makeAddressMap("fig7a_nohash", geometry);
     const struct
     {
         LineCoord coord;
@@ -230,11 +353,44 @@ TEST(MappingSeedPin, Fig7aGoldenEncodeValues)
     }
 }
 
+TEST(MappingSeedPin, XorSchemeGoldenEncodeValues)
+{
+    // Frozen from the per-bit parity implementation the tables replaced
+    // (default DDR3 geometry, the same coordinates as the Fig. 7a pins).
+    // The inference tests take both sides from one decode, so only these
+    // pins catch a consistent table bug that stays a bijection.
+    const DramGeometry geometry;
+    const LineCoord coords[] = {
+        {0, 0, 0, 0, 0},         {1, 0, 2, 5, 3},
+        {3, 1, 7, 65535, 255},   {2, 1, 4, 12345, 100},
+        {0, 1, 1, 1, 1},
+    };
+    const struct
+    {
+        const char *name;
+        uint64_t pa[5];
+    } golden[] = {
+        {"intel_ivy",
+         {0x0, 0x59c340, 0xfffffffc0, 0x3039aa4c0, 0x100140}},
+        {"intel_haswell",
+         {0x0, 0x50c3c0, 0xfffffff40, 0x30392e400, 0x184100}},
+        {"amd_zen", {0x0, 0x59c340, 0xffffebfc0, 0x303922440, 0x180140}},
+    };
+    for (const auto &pin : golden) {
+        const DramAddressMap map = makeAddressMap(pin.name, geometry);
+        for (unsigned i = 0; i < 5; ++i) {
+            EXPECT_EQ(map.encode(coords[i]), pin.pa[i]) << pin.name;
+            EXPECT_EQ(map.decode(pin.pa[i]), coords[i]) << pin.name;
+        }
+    }
+}
+
 TEST(MappingSeedPin, DefaultConstructionIsFig7a)
 {
     const DramGeometry geometry;
-    EXPECT_EQ(DramAddressMap(geometry).name(), "fig7a");
-    EXPECT_EQ(DramAddressMap(geometry, false).name(), "fig7a_nohash");
+    EXPECT_EQ(makeAddressMap("fig7a", geometry).name(), "fig7a");
+    EXPECT_EQ(makeAddressMap("fig7a_nohash", geometry).name(),
+              "fig7a_nohash");
     EXPECT_EQ(addressMappingNames().front(), "fig7a");
     LifetimeConfig config;
     EXPECT_EQ(config.mapping, "fig7a");
@@ -271,8 +427,8 @@ TEST(MapInferDifferential, OracleRecoveryIsExactForEveryScheme)
             // The recovered masks must rebuild into a mapping that
             // reproduces encode AND decode — closing the differential
             // loop through the inverse-matrix path too.
-            const DramAddressMap rebuilt(
-                mappingFromMasks("inferred", geometry, inference.masks));
+            const DramAddressMap rebuilt =
+                mappingFromMasks("inferred", geometry, inference.masks);
             Rng rng(5);
             for (unsigned i = 0; i < 200; ++i) {
                 const uint64_t pa = randomLinePa(geometry, rng);
@@ -386,10 +542,9 @@ TEST(MappingRegistry, NamesAreRegisteredAndHintListsThem)
         EXPECT_TRUE(isAddressMappingName(name));
         EXPECT_NE(addressMappingNamesHint().find(name),
                   std::string::npos);
-        EXPECT_NE(makeAddressMapping(name, DramGeometry{}), nullptr);
+        EXPECT_EQ(makeAddressMap(name, DramGeometry{}).name(), name);
     }
     EXPECT_FALSE(isAddressMappingName("nehalem"));
-    EXPECT_EQ(makeAddressMapping("nehalem", DramGeometry{}), nullptr);
 }
 
 TEST(MappingFlag, ParsesDefaultAndExplicitNames)
@@ -443,10 +598,10 @@ TEST(MappingFlagDeathTest, UnknownNameInMakeAddressMapPanics)
 TEST(MappingFlagDeathTest, NonInvertibleXorSchemePanics)
 {
     const DramGeometry geometry;
-    XorScheme scheme = fig7aXorScheme(geometry);
-    scheme.name = "degenerate";
+    XorScheme scheme{"degenerate",
+                     makeAddressMap("fig7a", geometry).decodeMasks()};
     scheme.decodeMasks[1] = scheme.decodeMasks[0];  // Two equal rows.
-    EXPECT_DEATH(XorAddressMapping(geometry, scheme), "not invertible");
+    EXPECT_DEATH(DramAddressMap(geometry, scheme), "not invertible");
 }
 
 } // namespace

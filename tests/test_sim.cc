@@ -316,7 +316,7 @@ TEST(Lifetime, RepairMatrixTrialZeroIsPinned)
     ASSERT_EQ(config.policy, ReplacePolicy::AfterDue);
     const LifetimeSimulator simulator(config);
     const DramGeometry geometry = config.faultModel.geometry;
-    const DramAddressMap map(geometry, true);
+    const DramAddressMap map = makeAddressMap("fig7a", geometry);
     const CacheGeometry llc{8 * 1024 * 1024, 16, 64};
     const uint64_t cap_lines = 2 * 1024 * 1024 / llc.lineBytes;
     auto freeFault = [&](unsigned ways) {

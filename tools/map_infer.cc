@@ -280,9 +280,8 @@ main(int argc, char **argv)
         inference.affineOffset != 0)
         fatal("recovered masks do not match basis-probe ground truth "
               "for scheme " + mapping_name);
-    const DramAddressMap rebuilt(
-        mappingFromMasks("inferred:" + mapping_name, geometry,
-                         inference.masks));
+    const DramAddressMap rebuilt = mappingFromMasks(
+        "inferred:" + mapping_name, geometry, inference.masks);
     Rng rng(seed ^ 0x5eedu);
     for (unsigned i = 0; i < 4096; ++i) {
         const uint64_t pa =
