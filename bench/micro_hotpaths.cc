@@ -7,7 +7,8 @@
  * bound the logic the paper argues is cheap enough to hide under a DRAM
  * access. Further rows time the lifetime simulator's own hot spots:
  * FreeFault repairs rejected mid-walk and accepted, an accepted
- * RelaxFault bank fault, and the sparse fault-extent row draws.
+ * RelaxFault bank fault, and the sparse fault-extent row draws; and the
+ * performance simulator's LLC model, hit and dirty-evicting miss.
  *
  * The chipkill/histogram benches run at the active SIMD dispatch level;
  * pin with `RELAXFAULT_SIMD=scalar|sse2|avx2` to A/B the kernels. The
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "cache/cache_geometry.h"
+#include "cache/cache_model.h"
 #include "common/failpoint.h"
 #include "common/log.h"
 #include "common/rng.h"
@@ -423,6 +425,51 @@ BM_ControllerReadRepairedLine(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ControllerReadRepairedLine);
+
+/**
+ * LLC model rows on the Table 3 LLC (8 MiB, 16-way, XOR-hashed). Both
+ * visit lines in a fixed odd-multiplier permutation, so successive
+ * accesses land in scattered sets as the simulator's do. The hit row
+ * touches the LLC's own capacity (every line resident); the miss row
+ * writes twice the capacity, so after one warm-up pass every set cycles
+ * 32 lines through 16 ways and each access misses and evicts a dirty
+ * line.
+ */
+void
+BM_CacheModelAccessHit(benchmark::State &state)
+{
+    CacheModel llc(kLlc, true);
+    const uint64_t mask = kLlc.lines() - 1;
+    for (uint64_t line = 0; line <= mask; ++line)
+        llc.access(line * 64, false);
+    uint64_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            llc.access(((i * 0x9E3779B1ull) & mask) * 64, false));
+        ++i;
+    }
+    if (llc.misses() != kLlc.lines())
+        state.SkipWithError("a hit-row access missed");
+}
+BENCHMARK(BM_CacheModelAccessHit);
+
+void
+BM_CacheModelAccessDirtyMiss(benchmark::State &state)
+{
+    CacheModel llc(kLlc, true);
+    const uint64_t mask = 2 * kLlc.lines() - 1;
+    uint64_t i = 0;
+    auto next = [&] {
+        return llc.access(((i++ * 0x9E3779B1ull) & mask) * 64, true);
+    };
+    for (uint64_t warm = 0; warm <= mask; ++warm)
+        next();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(next());
+    if (llc.hits() != 0 || llc.writebacks() + kLlc.lines() != llc.misses())
+        state.SkipWithError("a miss-row access hit or evicted clean");
+}
+BENCHMARK(BM_CacheModelAccessDirtyMiss);
 
 void
 BM_TelemetryDisabledBranch(benchmark::State &state)

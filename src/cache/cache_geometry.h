@@ -35,13 +35,29 @@ struct CacheGeometry
 class SetIndexer
 {
   public:
-    SetIndexer(const CacheGeometry &geometry, bool xor_hash);
+    SetIndexer(const CacheGeometry &geometry, bool xor_hash)
+        : geometry_(geometry), xorHash_(xor_hash),
+          setBits_(geometry.setBits()), offsetBits_(geometry.offsetBits())
+    {
+    }
 
     /** Set index of a physical address. */
-    uint64_t setIndex(uint64_t pa) const;
+    uint64_t setIndex(uint64_t pa) const
+    {
+        const uint64_t line = pa >> offsetBits_;
+        const uint64_t index = line & maskBits(setBits_);
+        if (!xorHash_)
+            return index;
+        // Fold the tag into the index so that addresses differing only
+        // in high-order (tag) bits land in different sets.
+        return index ^ xorFold(line >> setBits_, setBits_);
+    }
 
     /** Tag of a physical address (all bits above the index field). */
-    uint64_t tag(uint64_t pa) const;
+    uint64_t tag(uint64_t pa) const
+    {
+        return pa >> (offsetBits_ + setBits_);
+    }
 
     bool xorHash() const { return xorHash_; }
     const CacheGeometry &geometry() const { return geometry_; }

@@ -7,6 +7,13 @@
  * unavailable to normal data (paper Sec. 4.2 evaluates whole locked ways
  * as a pessimistic stand-in, plus a 100KiB randomly-placed configuration;
  * both are supported).
+ *
+ * Layout (DESIGN §2 "Cache model layout"): each set keeps its 32-bit
+ * tags in one 64 B-aligned host line, plus valid and dirty way masks
+ * and a recency stack of 4-bit way numbers, MRU in the low nibble. A
+ * hit is one compare per 4 lanes; replacement reads the stack. At most
+ * 16 ways, and a tag wider than 32 bits is a fatal error, never
+ * truncated.
  */
 
 #ifndef RELAXFAULT_CACHE_CACHE_MODEL_H
@@ -28,11 +35,39 @@ struct CacheAccessResult
     uint64_t evictedPa = 0;      ///< Line address of the victim.
 };
 
+/**
+ * Bit i set iff row[i] == @p tag, for i < @p lanes (a multiple of 4;
+ * @p row 16-byte aligned). SSE2 where the target has it, else the
+ * scalar loop below.
+ */
+uint32_t tagMatchMask(const uint32_t *row, unsigned lanes, uint32_t tag);
+
+/** Portable reference for tagMatchMask. */
+uint32_t tagMatchMaskScalar(const uint32_t *row, unsigned lanes,
+                            uint32_t tag);
+
 /** LRU set-associative cache tracking tags and dirty bits only. */
 class CacheModel
 {
   public:
+    /** Widest set the 4-bit recency stack can order. */
+    static constexpr unsigned kMaxWays = 16;
+
+    /**
+     * Fatal if @p geometry has more than kMaxWays ways. Tags are stored
+     * in 32 bits: see addressBitsLimit.
+     */
     CacheModel(const CacheGeometry &geometry, bool xor_hash);
+
+    /**
+     * Widest physical address whose tag fits the 32-bit tag row. Callers
+     * that know their address width check it against this once, at
+     * construction; an access above it is fatal.
+     */
+    static unsigned addressBitsLimit(const CacheGeometry &geometry)
+    {
+        return geometry.offsetBits() + geometry.setBits() + 32;
+    }
 
     /**
      * Access one line; allocates on miss (write-allocate) and returns
@@ -62,29 +97,56 @@ class CacheModel
     const SetIndexer &indexer() const { return indexer_; }
 
     /** Ways usable by normal data in @p set. */
-    unsigned availableWays(uint64_t set) const;
+    unsigned availableWays(uint64_t set) const
+    {
+        return geometry_.ways - sets_[set].locked;
+    }
 
   private:
-    struct Way
+    /**
+     * Replacement state of one set. Locked ways are the tail
+     * [usable, ways) and are never valid. `stack` nibble i is the way
+     * with the i-th most recent use among the usable ways; nibbles at
+     * i >= usable are unused.
+     */
+    struct SetState
     {
-        uint64_t tag = 0;
-        uint32_t age = 0;
-        bool valid = false;
-        bool dirty = false;
+        uint64_t stack = 0;
+        uint16_t valid = 0;
+        uint16_t dirty = 0;
+        uint8_t locked = 0;
     };
 
-    Way *setBase(uint64_t set) { return &ways_[set * geometry_.ways]; }
-    const Way *setBase(uint64_t set) const
+    /**
+     * One set's tags in one 64 B-aligned host line. A lookup scans the
+     * first rowLanes_ lanes and masks the result with the valid mask,
+     * so the tags of invalid ways and of padding lanes never count.
+     */
+    struct alignas(64) TagRow
     {
-        return &ways_[set * geometry_.ways];
+        uint32_t lane[kMaxWays] = {};
+    };
+
+    uint32_t tagOf(uint64_t pa) const;
+    const uint32_t *row(uint64_t set) const
+    {
+        return tags_[set].lane;
+    }
+    /** Bitmask of ways in @p set holding @p tag. */
+    uint32_t hitMask(uint64_t set, uint32_t tag) const
+    {
+        return tagMatchMask(row(set), rowLanes_, tag) & sets_[set].valid;
     }
     uint64_t lineAddress(uint64_t set, uint64_t tag) const;
+    /** Set @p set's lock count, invalidating ways that become locked. */
+    void setLocked(SetState &state, unsigned locked);
 
     CacheGeometry geometry_;
     SetIndexer indexer_;
-    std::vector<Way> ways_;
-    std::vector<uint8_t> lockedWays_;  ///< Per-set count of locked ways.
-    std::vector<uint32_t> ageCounter_; ///< Per-set LRU clock.
+    unsigned rowLanes_;          ///< Ways rounded up to 4 lanes.
+    uint64_t initialStack_;      ///< Ways 0..ways-1, way 0 most recent.
+    std::vector<TagRow> tags_;
+    std::vector<SetState> sets_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t writebacks_ = 0;

@@ -13,8 +13,7 @@ namespace relaxfault {
 
 RelaxFaultController::RelaxFaultController(const ControllerConfig &config)
     : config_(config),
-      addressMap_(makeAddressMap(
-          config.bankXorHash ? "fig7a" : "fig7a_nohash", config.geometry)),
+      addressMap_(makeAddressMap("fig7a", config.geometry)),
       dram_(config.geometry), faults_(config.geometry),
       repair_(config.geometry, config.llc, config.budget, config.xorFold)
 {

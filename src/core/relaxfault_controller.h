@@ -54,7 +54,6 @@ struct ControllerConfig
     CacheGeometry llc{8 * 1024 * 1024, 16, 64};
     RepairBudget budget{1, 32 * 1024};
     bool xorFold = true;       ///< RelaxFault map tag fold (Fig. 8).
-    bool bankXorHash = true;   ///< DRAM-map bank permutation (Table 3).
     /**
      * Extension (off by default, not part of the paper): treat tracked
      * unrepaired faulty devices as ECC erasures on reads, letting the
@@ -234,7 +233,7 @@ class RelaxFaultController
     void applyDegradation(const FaultRecord &fault);
 
     ControllerConfig config_;
-    DramAddressMap addressMap_;
+    DramAddressMap addressMap_;  ///< Fig. 7a map (Table 3 bank hash).
     FunctionalDram dram_;
     FaultSet faults_;
     RelaxFaultRepair repair_;

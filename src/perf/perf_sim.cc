@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <string>
 
 #include "common/log.h"
 #include "telemetry/metrics.h"
@@ -84,6 +85,7 @@ struct CoreState
     std::unique_ptr<AccessStream> workload;
     std::unique_ptr<CacheModel> l1;
     std::unique_ptr<CacheModel> l2;
+    double mlp = 1.0;  ///< max(1, the stream's latency-hiding divisor).
     uint64_t cycle = 0;
     uint64_t instructions = 0;
     uint64_t accessesDone = 0;
@@ -91,6 +93,20 @@ struct CoreState
     bool recorded = false;
     CoreResult result;
 };
+
+/**
+ * A cache model for @p geometry, refusing one whose 32-bit tags cannot
+ * hold every @p pa_bits-bit address rather than fail mid-run.
+ */
+CacheModel
+makeCache(const CacheGeometry &geometry, bool xor_hash, unsigned pa_bits)
+{
+    if (pa_bits > CacheModel::addressBitsLimit(geometry))
+        fatal("PerfSimulator: " + std::to_string(pa_bits) +
+              "-bit addresses need tags wider than 32 bits in a " +
+              std::to_string(geometry.sizeBytes) + " B cache");
+    return CacheModel(geometry, xor_hash);
+}
 
 } // namespace
 
@@ -120,8 +136,9 @@ PerfSimulator::runStreams(
         telemetry_ ? &telemetry_->histogram("perf.run_us") : nullptr);
     const DramGeometry dram_geometry = PerfConfig::dramGeometry();
     const DramAddressMap address_map = makeAddressMap("fig7a", dram_geometry);
+    const unsigned pa_bits = dram_geometry.paBits();
 
-    CacheModel llc(config_.llc, config_.llcXorHash);
+    CacheModel llc = makeCache(config_.llc, config_.llcXorHash, pa_bits);
     Rng placement_rng(repair.placementSeed);
     switch (repair.kind) {
       case LlcRepairConfig::Kind::None:
@@ -146,8 +163,11 @@ PerfSimulator::runStreams(
         if (!streams[i])
             continue;
         cores[i].workload = std::move(streams[i]);
-        cores[i].l1 = std::make_unique<CacheModel>(config_.l1, false);
-        cores[i].l2 = std::make_unique<CacheModel>(config_.l2, false);
+        cores[i].l1 = std::make_unique<CacheModel>(
+            makeCache(config_.l1, false, pa_bits));
+        cores[i].l2 = std::make_unique<CacheModel>(
+            makeCache(config_.l2, false, pa_bits));
+        cores[i].mlp = std::max(1.0, cores[i].workload->mlpFactor());
         cores[i].result.workload = cores[i].workload->name();
     }
 
@@ -214,11 +234,10 @@ PerfSimulator::runStreams(
                         core.cycle);
                     // Out-of-order cores overlap misses; charge the
                     // exposed fraction of the DRAM latency.
-                    const double mlp =
-                        std::max(1.0, core.workload->mlpFactor());
                     latency = config_.llcLatencyCycles +
                         static_cast<uint64_t>(
-                            static_cast<double>(done - core.cycle) / mlp);
+                            static_cast<double>(done - core.cycle) /
+                            core.mlp);
                 }
                 if (llcr.evictedDirty) {
                     const LineCoord wb = address_map.decode(llcr.evictedPa);

@@ -118,7 +118,13 @@ WorkloadParams::specCompMix()
 
 SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
                                      uint64_t base_pa, uint64_t seed)
-    : params_(params), basePa_(base_pa & ~uint64_t{63}), rng_(seed)
+    : params_(params), basePa_(base_pa & ~uint64_t{63}), rng_(seed),
+      // Compute gap: geometric with mean (1 - m) / m non-memory
+      // instructions per memory operation.
+      meanGap_((1.0 - params.memOpFraction) / params.memOpFraction),
+      hotLines_(params.hotSetBytes / 64),
+      hotTailLines_(params.hotTailBytes / 64),
+      footprintLines_(params.footprintBytes / 64)
 {
 }
 
@@ -128,25 +134,18 @@ SyntheticWorkload::next()
     MemAccess access;
     access.write = rng_.bernoulli(params_.writeFraction);
 
-    // Compute gap: geometric with mean (1 - m) / m non-memory
-    // instructions per memory operation.
-    const double mean_gap =
-        (1.0 - params_.memOpFraction) / params_.memOpFraction;
     const double u = rng_.uniform();
     access.gapInstructions = static_cast<unsigned>(
-        -mean_gap * std::log(1.0 - u));
-
-    const uint64_t hot_lines = params_.hotSetBytes / 64;
-    const uint64_t footprint_lines = params_.footprintBytes / 64;
+        -meanGap_ * std::log(1.0 - u));
 
     if (burstRemaining_ > 0) {
         // Continue the spatial burst: the next consecutive line.
         --burstRemaining_;
         if (burstIsStream_) {
-            streamOffset_ = (streamOffset_ + 1) % footprint_lines;
+            streamOffset_ = wrapLine(streamOffset_ + 1);
             currentLine_ = streamOffset_;
         } else {
-            currentLine_ = (currentLine_ + 1) % footprint_lines;
+            currentLine_ = wrapLine(currentLine_ + 1);
         }
     } else {
         // Jump to a new location and start a fresh burst.
@@ -155,17 +154,16 @@ SyntheticWorkload::next()
             if (params_.hotTailBytes > 0 &&
                 rng_.bernoulli(params_.hotTailProb)) {
                 // Tail tier lives directly above the core tier.
-                currentLine_ = hot_lines +
-                    rng_.uniformInt(params_.hotTailBytes / 64);
+                currentLine_ = hotLines_ + rng_.uniformInt(hotTailLines_);
             } else {
-                currentLine_ = rng_.uniformInt(hot_lines);
+                currentLine_ = rng_.uniformInt(hotLines_);
             }
         } else if (rng_.bernoulli(params_.streamFraction)) {
             burstIsStream_ = true;
-            streamOffset_ = (streamOffset_ + 1) % footprint_lines;
+            streamOffset_ = wrapLine(streamOffset_ + 1);
             currentLine_ = streamOffset_;
         } else {
-            currentLine_ = rng_.uniformInt(footprint_lines);
+            currentLine_ = rng_.uniformInt(footprintLines_);
         }
         if (params_.burstMeanLines > 1.0) {
             const double u = rng_.uniform();

@@ -93,9 +93,20 @@ class SyntheticWorkload : public AccessStream
     const WorkloadParams &params() const { return params_; }
 
   private:
+    /** Next line of a sequential run, wrapped into the footprint. */
+    uint64_t wrapLine(uint64_t line) const
+    {
+        return line < footprintLines_ ? line : line % footprintLines_;
+    }
+
     WorkloadParams params_;
     uint64_t basePa_;
     Rng rng_;
+    // Derived from params_ once; next() draws against them.
+    double meanGap_;          ///< Mean compute instructions per access.
+    uint64_t hotLines_;
+    uint64_t hotTailLines_;
+    uint64_t footprintLines_;
     uint64_t streamOffset_ = 0;
     uint64_t currentLine_ = 0;
     unsigned burstRemaining_ = 0;

@@ -1,17 +1,179 @@
 /**
  * @file
  * Tests for the cache substrate: geometry, set indexing (canonical and
- * XOR-hashed), LRU behaviour, way locking, and writeback accounting.
+ * XOR-hashed), LRU behaviour, way locking, and writeback accounting,
+ * plus a differential test of the packed cache model against the
+ * age-stamped way array it replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "cache/cache_geometry.h"
 #include "cache/cache_model.h"
+#include "common/bitops.h"
 #include "common/rng.h"
 
 namespace relaxfault {
 namespace {
+
+/**
+ * The original CacheModel, kept as the reference: one 16 B record per
+ * way (tag, age, valid, dirty), a per-set age clock, a hit scan over the
+ * usable ways and a victim that is the first invalid way, else the
+ * least age. The packed model must match it access for access.
+ */
+class AgeLruReference
+{
+  public:
+    AgeLruReference(const CacheGeometry &geometry, bool xor_hash)
+        : geometry_(geometry), indexer_(geometry, xor_hash),
+          ways_(geometry.sets() * geometry.ways),
+          lockedWays_(geometry.sets(), 0), ageCounter_(geometry.sets(), 0)
+    {
+    }
+
+    CacheAccessResult access(uint64_t pa, bool write)
+    {
+        CacheAccessResult result;
+        const uint64_t set = indexer_.setIndex(pa);
+        const uint64_t tag = indexer_.tag(pa);
+        Way *base = setBase(set);
+        const unsigned usable = availableWays(set);
+        for (unsigned w = 0; w < usable; ++w) {
+            Way &way = base[w];
+            if (way.valid && way.tag == tag) {
+                way.age = ++ageCounter_[set];
+                way.dirty = way.dirty || write;
+                ++hits_;
+                result.hit = true;
+                return result;
+            }
+        }
+        ++misses_;
+        if (usable == 0)
+            return result;
+        Way *victim = base;
+        for (unsigned w = 0; w < usable; ++w) {
+            Way &way = base[w];
+            if (!way.valid) {
+                victim = &way;
+                break;
+            }
+            if (way.age < victim->age)
+                victim = &way;
+        }
+        if (victim->valid && victim->dirty) {
+            ++writebacks_;
+            result.evictedDirty = true;
+            result.evictedPa = lineAddress(set, victim->tag);
+        }
+        victim->valid = true;
+        victim->tag = tag;
+        victim->dirty = write;
+        victim->age = ++ageCounter_[set];
+        return result;
+    }
+
+    bool contains(uint64_t pa) const
+    {
+        const uint64_t set = indexer_.setIndex(pa);
+        const Way *base = &ways_[set * geometry_.ways];
+        for (unsigned w = 0; w < availableWays(set); ++w) {
+            if (base[w].valid && base[w].tag == indexer_.tag(pa))
+                return true;
+        }
+        return false;
+    }
+
+    bool invalidate(uint64_t pa)
+    {
+        const uint64_t set = indexer_.setIndex(pa);
+        Way *base = setBase(set);
+        for (unsigned w = 0; w < availableWays(set); ++w) {
+            Way &way = base[w];
+            if (way.valid && way.tag == indexer_.tag(pa)) {
+                const bool dirty = way.dirty;
+                way.valid = false;
+                way.dirty = false;
+                return dirty;
+            }
+        }
+        return false;
+    }
+
+    void lockWaysPerSet(unsigned count)
+    {
+        for (uint64_t set = 0; set < geometry_.sets(); ++set) {
+            lockedWays_[set] = static_cast<uint8_t>(count);
+            Way *base = setBase(set);
+            for (unsigned w = geometry_.ways - count; w < geometry_.ways;
+                 ++w)
+                base[w] = Way{};
+        }
+    }
+
+    void lockRandomLines(uint64_t total_lines, Rng &rng)
+    {
+        for (uint64_t i = 0; i < total_lines; ++i) {
+            const uint64_t set = rng.uniformInt(geometry_.sets());
+            if (lockedWays_[set] < geometry_.ways) {
+                ++lockedWays_[set];
+                setBase(set)[geometry_.ways - lockedWays_[set]] = Way{};
+            }
+        }
+    }
+
+    void reset()
+    {
+        std::fill(ways_.begin(), ways_.end(), Way{});
+        std::fill(lockedWays_.begin(), lockedWays_.end(), 0);
+        std::fill(ageCounter_.begin(), ageCounter_.end(), 0);
+        hits_ = misses_ = writebacks_ = 0;
+    }
+
+    unsigned availableWays(uint64_t set) const
+    {
+        return geometry_.ways - lockedWays_[set];
+    }
+
+    uint64_t hits() const { return hits_; }
+    uint64_t misses() const { return misses_; }
+    uint64_t writebacks() const { return writebacks_; }
+
+  private:
+    struct Way
+    {
+        uint64_t tag = 0;
+        uint32_t age = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    Way *setBase(uint64_t set) { return &ways_[set * geometry_.ways]; }
+
+    uint64_t lineAddress(uint64_t set, uint64_t tag) const
+    {
+        uint64_t low = set;
+        if (indexer_.xorHash())
+            low ^= xorFold(tag, geometry_.setBits());
+        return ((tag << geometry_.setBits()) | low)
+            << geometry_.offsetBits();
+    }
+
+    CacheGeometry geometry_;
+    SetIndexer indexer_;
+    std::vector<Way> ways_;
+    std::vector<uint8_t> lockedWays_;
+    std::vector<uint32_t> ageCounter_;
+    uint64_t hits_ = 0;
+    uint64_t misses_ = 0;
+    uint64_t writebacks_ = 0;
+};
 
 TEST(CacheGeometry, PaperLlc)
 {
@@ -223,6 +385,152 @@ TEST_P(LockSweep, MissRateMonotonicInLockedWays)
 
 INSTANTIATE_TEST_SUITE_P(Locked, LockSweep,
                          ::testing::Values(0u, 1u, 2u, 4u, 6u));
+
+struct DifferentialShape
+{
+    unsigned ways;
+    bool xorHash;
+};
+
+/** Names the shape in test listings instead of dumping its padding. */
+void
+PrintTo(const DifferentialShape &shape, std::ostream *os)
+{
+    *os << shape.ways << "-way " << (shape.xorHash ? "hashed" : "canonical");
+}
+
+class CacheModelDifferential
+    : public ::testing::TestWithParam<DifferentialShape>
+{
+};
+
+TEST_P(CacheModelDifferential, MatchesAgeLruReferenceAtEveryStep)
+{
+    const DifferentialShape shape = GetParam();
+    const CacheGeometry geometry{uint64_t{32} * shape.ways * 64,
+                                 shape.ways, 64};  // 32 sets.
+    CacheModel packed(geometry, shape.xorHash);
+    AgeLruReference reference(geometry, shape.xorHash);
+    Rng ops(1000 + shape.ways * 2 + shape.xorHash);
+    Rng packed_placement(77);
+    Rng reference_placement(77);
+
+    // About 3x the cache's lines, so sets see hits, conflict misses and
+    // dirty evictions; tags span 20 bits to exercise the XOR fold.
+    const uint64_t pool = geometry.lines() * 3;
+    std::vector<uint64_t> lines(pool);
+    for (uint64_t &line : lines)
+        line = ops.uniformInt(uint64_t{1} << 25) * 64;
+
+    uint64_t hits = 0;
+    uint64_t dirty_evictions = 0;
+    uint64_t locks = 0;
+    for (int step = 0; step < 60000; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const uint64_t pa = lines[ops.uniformInt(pool)];
+        const unsigned op = static_cast<unsigned>(ops.uniformInt(1000));
+        if (op < 900) {
+            const bool write = ops.bernoulli(0.3);
+            const CacheAccessResult got = packed.access(pa, write);
+            const CacheAccessResult want = reference.access(pa, write);
+            ASSERT_EQ(got.hit, want.hit);
+            ASSERT_EQ(got.evictedDirty, want.evictedDirty);
+            ASSERT_EQ(got.evictedPa, want.evictedPa);
+            hits += got.hit;
+            dirty_evictions += got.evictedDirty;
+        } else if (op < 970) {
+            ASSERT_EQ(packed.invalidate(pa), reference.invalidate(pa));
+        } else if (op < 985) {
+            const uint64_t count = ops.uniformInt(4);
+            packed.lockRandomLines(count, packed_placement);
+            reference.lockRandomLines(count, reference_placement);
+            ++locks;
+        } else if (op < 999) {
+            const unsigned count =
+                static_cast<unsigned>(ops.uniformInt(shape.ways + 1));
+            packed.lockWaysPerSet(count);
+            reference.lockWaysPerSet(count);
+            ++locks;
+        } else {
+            packed.reset();
+            reference.reset();
+        }
+        ASSERT_EQ(packed.contains(pa), reference.contains(pa));
+        const uint64_t set = packed.indexer().setIndex(pa);
+        ASSERT_EQ(packed.availableWays(set), reference.availableWays(set));
+        ASSERT_EQ(packed.hits(), reference.hits());
+        ASSERT_EQ(packed.misses(), reference.misses());
+        ASSERT_EQ(packed.writebacks(), reference.writebacks());
+    }
+    for (uint64_t set = 0; set < geometry.sets(); ++set)
+        ASSERT_EQ(packed.availableWays(set), reference.availableWays(set));
+    for (const uint64_t pa : lines)
+        ASSERT_EQ(packed.contains(pa), reference.contains(pa));
+    // Every path ran often enough to matter.
+    EXPECT_GT(hits, 1000u);
+    EXPECT_GT(dirty_evictions, 500u);
+    EXPECT_GT(locks, 500u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, CacheModelDifferential,
+    ::testing::Values(DifferentialShape{1, false}, DifferentialShape{3, true},
+                      DifferentialShape{4, false}, DifferentialShape{4, true},
+                      DifferentialShape{8, false}, DifferentialShape{8, true},
+                      DifferentialShape{16, false},
+                      DifferentialShape{16, true}),
+    [](const ::testing::TestParamInfo<DifferentialShape> &info) {
+        return std::to_string(info.param.ways) + "way" +
+            (info.param.xorHash ? "Hashed" : "Canonical");
+    });
+
+TEST(CacheModelLayout, SimdAndScalarTagComparesAgree)
+{
+    Rng rng(31);
+    alignas(64) uint32_t row[16];
+    for (int trial = 0; trial < 20000; ++trial) {
+        // Few distinct values, so rows repeat the key in several lanes.
+        const uint32_t base = static_cast<uint32_t>(rng.next());
+        for (uint32_t &lane : row)
+            lane = base + static_cast<uint32_t>(rng.uniformInt(4));
+        const uint32_t tag = base + static_cast<uint32_t>(rng.uniformInt(5));
+        for (const unsigned lanes : {4u, 8u, 12u, 16u}) {
+            ASSERT_EQ(tagMatchMask(row, lanes, tag),
+                      tagMatchMaskScalar(row, lanes, tag))
+                << "lanes " << lanes;
+        }
+    }
+    row[15] = 0xFFFFFFFFu;  // The sign bit must not matter.
+    EXPECT_EQ(tagMatchMask(row, 16, 0xFFFFFFFFu), 1u << 15);
+}
+
+TEST(CacheModelLayout, AddressBitsLimitIsTheTagRowWidth)
+{
+    const CacheGeometry llc{8 * 1024 * 1024, 16, 64};
+    EXPECT_EQ(CacheModel::addressBitsLimit(llc), 6u + 13u + 32u);
+    const CacheGeometry small{8 * 1024, 4, 64};
+    CacheModel cache(small, true);
+    const uint64_t widest =
+        (uint64_t{1} << CacheModel::addressBitsLimit(small)) - 64;
+    EXPECT_FALSE(cache.access(widest, true).hit);
+    EXPECT_TRUE(cache.contains(widest));
+}
+
+TEST(CacheModelDeathTest, MoreThanSixteenWaysIsFatal)
+{
+    const CacheGeometry wide{32 * 17 * 64, 17, 64};
+    EXPECT_DEATH(CacheModel(wide, false), "recency stack orders at most 16");
+}
+
+TEST(CacheModelDeathTest, TagWiderThan32BitsIsFatal)
+{
+    const CacheGeometry small{8 * 1024, 4, 64};
+    CacheModel cache(small, false);
+    const uint64_t pa = uint64_t{1} << CacheModel::addressBitsLimit(small);
+    EXPECT_DEATH(cache.access(pa, false), "tag wider than 32 bits");
+    EXPECT_DEATH(cache.contains(pa), "tag wider than 32 bits");
+    EXPECT_DEATH(cache.invalidate(pa), "tag wider than 32 bits");
+}
 
 } // namespace
 } // namespace relaxfault

@@ -235,6 +235,120 @@ TEST_F(PerfSimTest, WeightedSpeedupSaneBounds)
     EXPECT_LE(ws, 4.6);  // <= N with a little measurement slack.
 }
 
+/**
+ * Golden pin of the whole simulator: every PerfResult total for CG,
+ * LULESH and the SPEC MEM mix under each LLC repair shape, including the
+ * randomly placed 100 KiB budget that the benchmark slice never runs.
+ * The values were recorded from the age-stamped `Way`-array cache model
+ * the packed model replaced, so any change to replacement, writeback or
+ * stream order shows here first.
+ */
+struct PerfGolden
+{
+    const char *group;
+    LlcRepairConfig repair;
+    uint64_t llcHits;
+    uint64_t llcMisses;
+    uint64_t elapsedCycles;
+    uint64_t activates;
+    uint64_t reads;
+    uint64_t writes;
+    uint64_t coreCycles;    ///< Sum over cores.
+    uint64_t instructions;  ///< Sum over cores.
+};
+
+TEST(PerfSimGolden, ResultsMatchTheRecordedValues)
+{
+    PerfConfig config;
+    config.instructionsPerCore = 50000;
+    config.warmupAccessesPerCore = 30000;
+    const PerfSimulator simulator(config);
+
+    const LlcRepairConfig none = LlcRepairConfig::none();
+    const LlcRepairConfig random = LlcRepairConfig::randomBytes(100 * 1024, 3);
+    const LlcRepairConfig way1 = LlcRepairConfig::ways(1);
+    const LlcRepairConfig way4 = LlcRepairConfig::ways(4);
+    const PerfGolden golden[] = {
+        {"CG", none,
+         22204u, 36694u, 2619897u, 30855u,
+         103413u, 135u, 5763501u, 400010u},
+        {"CG", random,
+         22100u, 36627u, 2625118u, 31085u,
+         103349u, 165u, 5858412u, 400010u},
+        {"CG", way1,
+         22014u, 36443u, 2615309u, 30921u,
+         103164u, 264u, 5820718u, 400010u},
+        {"CG", way4,
+         21678u, 36091u, 2727228u, 33416u,
+         102932u, 1528u, 6386268u, 400010u},
+        {"LULESH", none,
+         74957u, 10009u, 1888477u, 20698u,
+         60372u, 7u, 3369052u, 400008u},
+        {"LULESH", random,
+         74940u, 10009u, 1888321u, 20699u,
+         60372u, 8u, 3368582u, 400008u},
+        {"LULESH", way1,
+         74971u, 9999u, 1890012u, 20745u,
+         60362u, 21u, 3378548u, 400008u},
+        {"LULESH", way4,
+         74993u, 10026u, 1897641u, 21284u,
+         60443u, 563u, 3409685u, 400008u},
+        {"MEM", none,
+         169380u, 495834u, 17868578u, 315937u,
+         636898u, 135379u, 25785841u, 400016u},
+        {"MEM", random,
+         169275u, 495419u, 17971934u, 317367u,
+         636494u, 135707u, 26057249u, 400016u},
+        {"MEM", way1,
+         169740u, 497379u, 18134344u, 320227u,
+         638496u, 138263u, 26318039u, 400016u},
+        {"MEM", way4,
+         168248u, 501330u, 18590793u, 330723u,
+         642715u, 149367u, 27300806u, 400016u},
+    };
+
+    for (const PerfGolden &row : golden) {
+        SCOPED_TRACE(std::string(row.group) + "/" + row.repair.label());
+        std::vector<WorkloadParams> workloads;
+        if (std::string(row.group) == "MEM") {
+            for (const std::string &name : WorkloadParams::specMemMix())
+                workloads.push_back(WorkloadParams::preset(name));
+        } else {
+            workloads.assign(config.cores,
+                             WorkloadParams::preset(row.group));
+        }
+        const PerfResult result = simulator.run(workloads, row.repair, 17);
+        uint64_t core_cycles = 0;
+        uint64_t instructions = 0;
+        for (const CoreResult &core : result.cores) {
+            core_cycles += core.cycles;
+            instructions += core.instructions;
+        }
+        EXPECT_EQ(result.llcHits, row.llcHits);
+        EXPECT_EQ(result.llcMisses, row.llcMisses);
+        EXPECT_EQ(result.elapsedCycles, row.elapsedCycles);
+        EXPECT_EQ(result.dram.activates, row.activates);
+        EXPECT_EQ(result.dram.reads, row.reads);
+        EXPECT_EQ(result.dram.writes, row.writes);
+        EXPECT_EQ(core_cycles, row.coreCycles);
+        EXPECT_EQ(instructions, row.instructions);
+    }
+}
+
+TEST(PerfSimDeathTest, CacheWhoseTagsExceed32BitsIsRefused)
+{
+    // One-byte lines in a one-line cache leave every address bit to the
+    // tag, more than the 32-bit tag row holds for this address width.
+    PerfConfig config;
+    config.l1 = CacheGeometry{1, 1, 1};
+    ASSERT_GT(PerfConfig::dramGeometry().paBits(),
+              CacheModel::addressBitsLimit(config.l1));
+    const PerfSimulator simulator(config);
+    EXPECT_DEATH(simulator.run({WorkloadParams::preset("CG")},
+                               LlcRepairConfig::none(), 1),
+                 "tags wider than 32 bits");
+}
+
 TEST(PowerIntegration, MoreTrafficMorePower)
 {
     PerfConfig config;
