@@ -5,7 +5,9 @@
  * bank-table + tag test (the per-miss filter), the repair-line tracker's
  * transactional add, the chipkill codecs, and the coalescer merge. These
  * bound the logic the paper argues is cheap enough to hide under a DRAM
- * access. Further rows time the lifetime simulator's own hot spots:
+ * access. The controller rows time whole reads and writes (clean bank,
+ * merged repaired line, masked writeback) and the functional DRAM
+ * store. Further rows time the lifetime simulator's own hot spots:
  * FreeFault repairs rejected mid-walk and accepted, an accepted
  * RelaxFault bank fault, and the sparse fault-extent row draws; and the
  * performance simulator's LLC model, hit and dirty-evicting miss.
@@ -25,6 +27,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,6 +39,7 @@
 #include "common/simd.h"
 #include "core/relaxfault_controller.h"
 #include "dram/address_map.h"
+#include "dram/functional_dram.h"
 #include "ecc/chipkill.h"
 #include "faults/fault_geometry.h"
 #include "repair/freefault_repair.h"
@@ -425,6 +429,123 @@ BM_ControllerReadRepairedLine(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ControllerReadRepairedLine);
+
+/**
+ * Controller rows around the repaired line above, on a controller whose
+ * only repair is a single-column fault on device 3 of bank 0, DIMM 0,
+ * row 100 (one remap unit: column blocks 0-15): a read in a bank with
+ * no fault; a read in the flagged bank that merges device 3's sub-block
+ * (column block 1, so the DRAM cells themselves are clean); and a write
+ * there, which also refreshes the remap line.
+ */
+std::unique_ptr<RelaxFaultController>
+columnRepairedController()
+{
+    auto controller = std::make_unique<RelaxFaultController>(
+        ControllerConfig{});
+    FaultRecord fault;
+    fault.persistence = Persistence::Permanent;
+    RegionCluster cluster;
+    cluster.bankMask = 1;
+    cluster.rows = RowSet::of({100});
+    cluster.cols = ColSet::of({0});
+    fault.parts.push_back({0, 3, FaultRegion({cluster})});
+    if (!controller->reportFault(fault))
+        fatal("micro_hotpaths: the column fault was not repaired");
+    return controller;
+}
+
+void
+BM_ControllerReadCleanBank(benchmark::State &state)
+{
+    const std::unique_ptr<RelaxFaultController> owner =
+        columnRepairedController();
+    RelaxFaultController &controller = *owner;
+    LineCoord coord;
+    coord.bank = 5;
+    coord.row = 100;
+    coord.colBlock = 1;
+    const uint64_t pa = controller.addressMap().encode(coord);
+    uint8_t data[64] = {42};
+    controller.write(pa, data);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(controller.read(pa, data));
+    if (controller.stats().bankFilterHits != 0)
+        state.SkipWithError("the clean bank was flagged");
+}
+BENCHMARK(BM_ControllerReadCleanBank);
+
+void
+BM_ControllerReadFaultyBankMerge(benchmark::State &state)
+{
+    const std::unique_ptr<RelaxFaultController> owner =
+        columnRepairedController();
+    RelaxFaultController &controller = *owner;
+    LineCoord coord;
+    coord.row = 100;
+    coord.colBlock = 1;
+    const uint64_t pa = controller.addressMap().encode(coord);
+    uint8_t data[64] = {42};
+    controller.write(pa, data);
+    const uint64_t merges = controller.stats().remapMerges;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(controller.read(pa, data));
+    if (controller.stats().remapMerges - merges !=
+        controller.stats().bankFilterHits)
+        state.SkipWithError("a read did not merge exactly one device");
+}
+BENCHMARK(BM_ControllerReadFaultyBankMerge);
+
+void
+BM_ControllerWriteFaultyBank(benchmark::State &state)
+{
+    const std::unique_ptr<RelaxFaultController> owner =
+        columnRepairedController();
+    RelaxFaultController &controller = *owner;
+    LineCoord coord;
+    coord.row = 100;
+    coord.colBlock = 1;
+    const uint64_t pa = controller.addressMap().encode(coord);
+    uint8_t data[64] = {42};
+    for (auto _ : state) {
+        controller.write(pa, data);
+        ++data[0];
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_ControllerWriteFaultyBank);
+
+/**
+ * FunctionalDram::readLine (no fault probe) over 131,072 written lines,
+ * datapath_rw's working set, visited in a fixed odd-multiplier
+ * permutation: the store's index and slab lookups, cache-missing as the
+ * datapath's do.
+ */
+void
+BM_FunctionalDramReadLine(benchmark::State &state)
+{
+    constexpr uint64_t kLines = 131072;
+    FunctionalDram dram(kGeometry);
+    auto coord_of = [](uint64_t i) {
+        LineCoord coord;
+        coord.channel = static_cast<unsigned>(i & 3);
+        coord.rank = static_cast<unsigned>((i >> 2) & 1);
+        coord.bank = static_cast<unsigned>((i >> 3) & 7);
+        coord.colBlock = static_cast<unsigned>((i >> 6) & 255);
+        coord.row = static_cast<unsigned>(1000 + (i >> 14));
+        return coord;
+    };
+    uint8_t line[72] = {7};
+    for (uint64_t i = 0; i < kLines; ++i)
+        dram.writeLine(coord_of(i), line);
+    uint64_t i = 0;
+    for (auto _ : state) {
+        dram.readLine(coord_of((i * 0x9E3779B1ull) & (kLines - 1)), line);
+        benchmark::DoNotOptimize(line);
+        ++i;
+    }
+}
+BENCHMARK(BM_FunctionalDramReadLine);
 
 /**
  * LLC model rows on the Table 3 LLC (8 MiB, 16-way, XOR-hashed). Both

@@ -61,6 +61,9 @@ class SetIndexer
 
     bool xorHash() const { return xorHash_; }
     const CacheGeometry &geometry() const { return geometry_; }
+    /** geometry().setBits() and offsetBits(), computed once. */
+    unsigned setBits() const { return setBits_; }
+    unsigned offsetBits() const { return offsetBits_; }
 
   private:
     CacheGeometry geometry_;

@@ -107,10 +107,11 @@ CacheModel::tagOf(uint64_t pa) const
 uint64_t
 CacheModel::lineAddress(uint64_t set, uint64_t tag) const
 {
+    const unsigned set_bits = indexer_.setBits();
     uint64_t low = set;
     if (indexer_.xorHash())
-        low ^= xorFold(tag, geometry_.setBits());
-    return ((tag << geometry_.setBits()) | low) << geometry_.offsetBits();
+        low ^= xorFold(tag, set_bits);
+    return ((tag << set_bits) | low) << indexer_.offsetBits();
 }
 
 CacheAccessResult

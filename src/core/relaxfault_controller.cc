@@ -1,6 +1,6 @@
 #include "core/relaxfault_controller.h"
 
-#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/log.h"
@@ -15,7 +15,9 @@ RelaxFaultController::RelaxFaultController(const ControllerConfig &config)
     : config_(config),
       addressMap_(makeAddressMap("fig7a", config.geometry)),
       dram_(config.geometry), faults_(config.geometry),
-      repair_(config.geometry, config.llc, config.budget, config.xorFold)
+      repair_(config.geometry, config.llc, config.budget, config.xorFold),
+      repairedDevices_(size_t{config.geometry.dimmsPerNode()} *
+                       config.geometry.banksPerDevice)
 {
     if (config_.geometry.lineBytes != kLineBytes)
         fatal("RelaxFaultController: only 64B lines are supported");
@@ -32,10 +34,14 @@ RelaxFaultController::colBlocksPerUnit() const
            config_.geometry.bytesPerDevicePerLine();
 }
 
-uint64_t
-RelaxFaultController::unitKey(const RemapUnit &unit) const
+uint8_t *
+RelaxFaultController::repairedLine(const RemapUnit &unit)
 {
-    return repair_.map().locate(unit).key(repair_.map().setBits());
+    const RemapLocation location = repair_.map().locate(unit);
+    const uint64_t key = location.key(repair_.map().setBits());
+    if (!repair_.tracker().contains(location.set, key))
+        return nullptr;
+    return ensureFilled(unit, key);
 }
 
 EccStatus
@@ -59,13 +65,13 @@ RelaxFaultController::fetchAndDecode(const LineCoord &coord,
             config_.geometry.bytesPerDevicePerLine();
         const unsigned offset =
             (coord.colBlock % colBlocksPerUnit()) * slice_bytes;
-        for (unsigned device = 0;
-             device < config_.geometry.devicesPerRank(); ++device) {
-            unit.device = device;
-            if (!repair_.unitRepaired(unit))
+        for (uint32_t devices = repairedDevices(dimm, coord.bank);
+             devices != 0; devices &= devices - 1) {
+            unit.device = static_cast<unsigned>(std::countr_zero(devices));
+            const uint8_t *remap = repairedLine(unit);
+            if (remap == nullptr)
                 continue;
-            const RemapLine &remap = ensureFilled(unit);
-            std::memcpy(line + device * slice_bytes, remap.data() + offset,
+            std::memcpy(line + unit.device * slice_bytes, remap + offset,
                         slice_bytes);
             if (count_stats)
                 ++stats_.remapMerges;
@@ -75,17 +81,8 @@ RelaxFaultController::fetchAndDecode(const LineCoord &coord,
     // Optional extension: tracked unrepaired devices become erasures.
     uint32_t erased_devices = 0;
     if (config_.erasureDecoding) {
-        DeviceCoord probe_coord;
-        probe_coord.dimm = dimm;
-        probe_coord.bank = coord.bank;
-        probe_coord.row = coord.row;
-        probe_coord.colBlock = coord.colBlock;
-        for (unsigned device = 0;
-             device < config_.geometry.devicesPerRank(); ++device) {
-            probe_coord.device = device;
-            if (faults_.probe(probe_coord, false).mask != 0)
-                erased_devices |= 1u << device;
-        }
+        StuckBits stuck[FunctionalDram::kMaxDevices];
+        erased_devices = faults_.probeLine(coord, false, stuck);
         if (erased_devices != 0 && count_stats)
             ++stats_.erasureDecodes;
     }
@@ -107,22 +104,22 @@ RelaxFaultController::fetchAndDecode(const LineCoord &coord,
     return decoded.status;
 }
 
-RelaxFaultController::RemapLine &
-RelaxFaultController::ensureFilled(const RemapUnit &unit)
+uint8_t *
+RelaxFaultController::ensureFilled(const RemapUnit &unit, uint64_t key)
 {
-    const uint64_t key = unitKey(unit);
-    const auto it = remapStore_.find(key);
-    if (it != remapStore_.end())
-        return it->second;
+    if (uint8_t *stored = remapStore_.find(key))
+        return stored;
 
     // First touch: the memory controller streams the unit's 16 column
     // blocks from the (open) DRAM row, corrects each through ECC, and
     // keeps only the faulty device's sub-blocks (paper Sec. 3.1). Other
     // already-filled repaired devices are merged in; recursion is
     // avoided by not filling new units during a fill.
-    RemapLine filled{};
+    uint8_t filled[kLineBytes] = {};
     const unsigned slice_bytes = config_.geometry.bytesPerDevicePerLine();
     const unsigned blocks = colBlocksPerUnit();
+    const uint32_t others =
+        repairedDevices(unit.dimm, unit.bank) & ~(1u << unit.device);
 
     LineCoord coord;
     coord.channel = unit.dimm / config_.geometry.ranksPerChannel;
@@ -136,25 +133,25 @@ RelaxFaultController::ensureFilled(const RemapUnit &unit)
         dram_.readLine(coord, line);
 
         RemapUnit other = unit;
-        for (unsigned device = 0;
-             device < config_.geometry.devicesPerRank(); ++device) {
-            if (device == unit.device)
+        for (uint32_t devices = others; devices != 0;
+             devices &= devices - 1) {
+            other.device = static_cast<unsigned>(std::countr_zero(devices));
+            const RemapLocation location = repair_.map().locate(other);
+            const uint64_t other_key =
+                location.key(repair_.map().setBits());
+            const uint8_t *stored = remapStore_.find(other_key);
+            if (stored == nullptr ||
+                !repair_.tracker().contains(location.set, other_key))
                 continue;
-            other.device = device;
-            const auto filled_it = remapStore_.find(unitKey(other));
-            if (filled_it == remapStore_.end() ||
-                !repair_.unitRepaired(other))
-                continue;
-            std::memcpy(line + device * slice_bytes,
-                        filled_it->second.data() + i * slice_bytes,
-                        slice_bytes);
+            std::memcpy(line + other.device * slice_bytes,
+                        stored + i * slice_bytes, slice_bytes);
         }
         LineCodec::decodeLineBatched(line);  // Best-effort correction.
-        std::memcpy(filled.data() + i * slice_bytes,
+        std::memcpy(filled + i * slice_bytes,
                     line + unit.device * slice_bytes, slice_bytes);
     }
     ++stats_.remapFills;
-    return remapStore_.emplace(key, filled).first->second;
+    return remapStore_.store(key, filled);
 }
 
 void
@@ -183,13 +180,13 @@ RelaxFaultController::write(uint64_t pa, const uint8_t data[kLineBytes])
     const unsigned slice_bytes = config_.geometry.bytesPerDevicePerLine();
     const unsigned offset =
         (coord.colBlock % colBlocksPerUnit()) * slice_bytes;
-    for (unsigned device = 0; device < config_.geometry.devicesPerRank();
-         ++device) {
-        unit.device = device;
-        if (!repair_.unitRepaired(unit))
+    for (uint32_t devices = repairedDevices(dimm, coord.bank); devices != 0;
+         devices &= devices - 1) {
+        unit.device = static_cast<unsigned>(std::countr_zero(devices));
+        uint8_t *remap = repairedLine(unit);
+        if (remap == nullptr)
             continue;
-        RemapLine &remap = ensureFilled(unit);
-        std::memcpy(remap.data() + offset, line + device * slice_bytes,
+        std::memcpy(remap + offset, line + unit.device * slice_bytes,
                     slice_bytes);
     }
 }
@@ -275,6 +272,21 @@ RelaxFaultController::requestRepair(const FaultRecord &fault)
         return false;
     }
     ++stats_.faultsRepaired;
+    // The datapath's candidate devices: every bank of every cluster.
+    // Devices and banks outside the geometry are never read, so they
+    // need no bit.
+    const DramGeometry &geometry = config_.geometry;
+    for (const auto &part : fault.parts) {
+        if (part.dimm >= geometry.dimmsPerNode() ||
+            part.device >= geometry.devicesPerRank())
+            continue;
+        for (uint32_t banks = part.region.bankMask() &
+                              maskBits(geometry.banksPerDevice);
+             banks != 0; banks &= banks - 1)
+            repairedDevices(part.dimm, static_cast<unsigned>(
+                                           std::countr_zero(banks))) |=
+                1u << part.device;
+    }
     // Fill the remap lines now (paper Sec. 3.1: the controller streams
     // the sub-blocks through ECC when repair is set up). Filling at
     // repair time, before further faults accumulate, maximizes the
@@ -284,12 +296,12 @@ RelaxFaultController::requestRepair(const FaultRecord &fault)
         unit.dimm = part.dimm;
         unit.device = part.device;
         part.region.forEachRemapUnit(
-            config_.geometry,
-            [&](unsigned bank, uint32_t row, uint16_t col_group) {
+            geometry, [&](unsigned bank, uint32_t row, uint16_t col_group) {
                 unit.bank = bank;
                 unit.row = row;
                 unit.colGroup = col_group;
-                ensureFilled(unit);
+                ensureFilled(unit, repair_.map().locate(unit).key(
+                                       repair_.map().setBits()));
             });
     }
     return true;
@@ -348,12 +360,7 @@ RelaxFaultController::setErrorObserver(ErrorObserver observer)
 std::vector<uint64_t>
 RelaxFaultController::remapStoreKeys() const
 {
-    std::vector<uint64_t> keys;
-    keys.reserve(remapStore_.size());
-    for (const auto &[key, line] : remapStore_)
-        keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    return keys;
+    return remapStore_.sortedKeys();
 }
 
 void

@@ -26,14 +26,13 @@
 #ifndef RELAXFAULT_CORE_RELAXFAULT_CONTROLLER_H
 #define RELAXFAULT_CORE_RELAXFAULT_CONTROLLER_H
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_geometry.h"
+#include "common/line_store.h"
 #include "dram/address_map.h"
 #include "dram/functional_dram.h"
 #include "ecc/chipkill.h"
@@ -115,6 +114,10 @@ class RelaxFaultController
     static constexpr unsigned kLineBytes = 64;
 
     explicit RelaxFaultController(const ControllerConfig &config);
+
+    /** Not copyable or movable: the DRAM's fault probe points at faults_. */
+    RelaxFaultController(const RelaxFaultController &) = delete;
+    RelaxFaultController &operator=(const RelaxFaultController &) = delete;
 
     /** Write one 64B line at a (line-aligned) physical address. */
     void write(uint64_t pa, const uint8_t data[kLineBytes]);
@@ -199,23 +202,43 @@ class RelaxFaultController
     /** Remap-store keys in ascending order (audit walks). */
     std::vector<uint64_t> remapStoreKeys() const;
 
+    /**
+     * The 64B remap line stored under a RemapLocation key, or nullptr
+     * (audit walks, tests).
+     */
+    const uint8_t *remapLine(uint64_t key) const
+    {
+        return remapStore_.find(key);
+    }
+
     /** Backdoor for tests: the underlying DRAM array. */
     FunctionalDram &dram() { return dram_; }
 
   private:
-    using RemapLine = std::array<uint8_t, kLineBytes>;
-
     /** colBlocks covered by one remap unit (64B / 4B-per-block). */
     unsigned colBlocksPerUnit() const;
 
-    /** Remap-store key of a unit. */
-    uint64_t unitKey(const RemapUnit &unit) const;
+    /** Devices a successful repair covered in (dimm, bank). */
+    uint32_t &repairedDevices(unsigned dimm, unsigned bank)
+    {
+        return repairedDevices_[size_t{dimm} *
+                                    config_.geometry.banksPerDevice +
+                                bank];
+    }
 
     /**
-     * Ensure the remap line for @p unit exists, filling it from
-     * ECC-corrected DRAM (the paper's first-access fill, Sec. 3.1).
+     * The remap line of @p unit if the unit is locked in the LLC, else
+     * nullptr; one locate() serves both the test and the lookup. A
+     * locked unit with no line yet is filled first.
      */
-    RemapLine &ensureFilled(const RemapUnit &unit);
+    uint8_t *repairedLine(const RemapUnit &unit);
+
+    /**
+     * The remap line of @p unit, stored under @p key, filling it from
+     * ECC-corrected DRAM if absent (the paper's first-access fill,
+     * Sec. 3.1).
+     */
+    uint8_t *ensureFilled(const RemapUnit &unit, uint64_t key);
 
     /** Read one raw line and chipkill-decode it in place. */
     EccStatus fetchAndDecode(const LineCoord &coord,
@@ -237,7 +260,15 @@ class RelaxFaultController
     FunctionalDram dram_;
     FaultSet faults_;
     RelaxFaultRepair repair_;
-    std::unordered_map<uint64_t, RemapLine> remapStore_;
+    /** Remap lines (64B of one device each), keyed by RemapLocation::key. */
+    LineStore remapStore_{kLineBytes};
+    /**
+     * Per (DIMM, bank), a mask of the devices some successful repair had
+     * a cluster in. A unit can be locked in the LLC only if a successful
+     * repair staged it (remap keys are injective), so the datapath tests
+     * unitRepaired() for these devices only, not all of the rank's.
+     */
+    std::vector<uint32_t> repairedDevices_;
     ControllerStats stats_;
     ErrorObserver errorObserver_;
     TraceSink *trace_ = nullptr;

@@ -1,14 +1,19 @@
 #include "dram/functional_dram.h"
 
+#include <bit>
 #include <cstring>
+#include <string>
 
 #include "common/log.h"
 
 namespace relaxfault {
 
 FunctionalDram::FunctionalDram(const DramGeometry &geometry)
-    : geometry_(geometry)
+    : geometry_(geometry), lines_(storedLineBytes())
 {
+    if (geometry_.devicesPerRank() > kMaxDevices)
+        fatal("FunctionalDram: at most " + std::to_string(kMaxDevices) +
+              " devices per rank");
 }
 
 void
@@ -36,18 +41,17 @@ FunctionalDram::lineKey(const LineCoord &coord) const
 void
 FunctionalDram::writeLine(const LineCoord &coord, const uint8_t *bytes)
 {
-    auto &line = lines_[lineKey(coord)];
-    line.assign(bytes, bytes + storedLineBytes());
+    lines_.store(lineKey(coord), bytes);
 }
 
 void
 FunctionalDram::fetch(const LineCoord &coord, uint8_t *out) const
 {
-    const auto it = lines_.find(lineKey(coord));
-    if (it == lines_.end())
+    const uint8_t *line = lines_.find(lineKey(coord));
+    if (line == nullptr)
         std::memset(out, 0, storedLineBytes());
     else
-        std::memcpy(out, it->second.data(), storedLineBytes());
+        std::memcpy(out, line, storedLineBytes());
 }
 
 void
@@ -63,22 +67,16 @@ FunctionalDram::readLine(const LineCoord &coord, uint8_t *out) const
     if (!probe_)
         return;
 
-    DeviceCoord device_coord;
-    device_coord.dimm = coord.dimm(geometry_);
-    device_coord.bank = coord.bank;
-    device_coord.row = coord.row;
-    device_coord.colBlock = coord.colBlock;
-
+    StuckBits stuck[kMaxDevices];
     const unsigned slice_bytes = geometry_.bytesPerDevicePerLine();
-    for (unsigned device = 0; device < geometry_.devicesPerRank();
-         ++device) {
-        device_coord.device = device;
-        const StuckBits stuck = probe_(device_coord);
-        if (stuck.mask == 0)
-            continue;
+    for (uint32_t devices = probe_(coord, stuck); devices != 0;
+         devices &= devices - 1) {
+        const unsigned device =
+            static_cast<unsigned>(std::countr_zero(devices));
         uint32_t slice = 0;
         std::memcpy(&slice, out + device * slice_bytes, slice_bytes);
-        slice = (slice & ~stuck.mask) | (stuck.value & stuck.mask);
+        slice = (slice & ~stuck[device].mask) |
+                (stuck[device].value & stuck[device].mask);
         std::memcpy(out + device * slice_bytes, &slice, slice_bytes);
     }
 }

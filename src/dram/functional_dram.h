@@ -9,7 +9,8 @@
  * This class provides the backing store for that flow.
  *
  * Data layout of one line: devicesPerRank() * 4 bytes; device d owns bytes
- * [4d, 4d+4). Devices 16 and 17 hold the chipkill check symbols.
+ * [4d, 4d+4). Devices 16 and 17 hold the chipkill check symbols. Lines
+ * live in a LineStore keyed by their rank-level coordinates.
  */
 
 #ifndef RELAXFAULT_DRAM_FUNCTIONAL_DRAM_H
@@ -17,9 +18,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <vector>
 
+#include "common/line_store.h"
 #include "dram/geometry.h"
 
 namespace relaxfault {
@@ -39,8 +39,17 @@ struct StuckBits
 class FunctionalDram
 {
   public:
-    /** Callback mapping a device-level line slice to its stuck bits. */
-    using FaultProbe = std::function<StuckBits(const DeviceCoord &)>;
+    /** Most devices per rank a line (and a probe's device mask) holds. */
+    static constexpr unsigned kMaxDevices = 32;
+
+    /**
+     * Callback giving the stuck bits of every device of one line: it
+     * returns the mask of devices with stuck bits and writes stuck[d]
+     * for each device d in that mask (other entries are unspecified).
+     * One call per line read.
+     */
+    using FaultProbe =
+        std::function<uint32_t(const LineCoord &coord, StuckBits *stuck)>;
 
     explicit FunctionalDram(const DramGeometry &geometry);
 
@@ -74,7 +83,7 @@ class FunctionalDram
 
     DramGeometry geometry_;
     FaultProbe probe_;
-    std::unordered_map<uint64_t, std::vector<uint8_t>> lines_;
+    LineStore lines_;
 };
 
 } // namespace relaxfault

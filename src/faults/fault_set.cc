@@ -1,5 +1,11 @@
 #include "faults/fault_set.h"
 
+#include <algorithm>
+#include <bit>
+#include <string>
+
+#include "common/log.h"
+
 namespace relaxfault {
 
 namespace {
@@ -22,8 +28,15 @@ stuckValueFor(const DeviceCoord &coord)
 } // namespace
 
 FaultSet::FaultSet(const DramGeometry &geometry)
-    : geometry_(geometry), byDevice_(geometry.devicesPerNode())
+    : geometry_(geometry), byDevice_(geometry.devicesPerNode()),
+      faultyDevices_(size_t{geometry.dimmsPerNode()} *
+                     geometry.banksPerDevice)
 {
+    if (geometry_.devicesPerRank() > FunctionalDram::kMaxDevices ||
+        geometry_.banksPerDevice > 32)
+        fatal("FaultSet: at most " +
+              std::to_string(FunctionalDram::kMaxDevices) +
+              " devices per rank and 32 banks per device");
 }
 
 size_t
@@ -45,6 +58,14 @@ FaultSet::addFault(FaultRecord fault)
             slot < byDevice_.size() ? byDevice_[slot] : offGeometry_;
         if (list.empty() || list.back() != index)
             list.push_back(static_cast<uint32_t>(index));
+        if (!fault.permanent() || slot == byDevice_.size())
+            continue;
+        for (uint32_t banks = part.region.bankMask() &
+                              maskBits(geometry_.banksPerDevice);
+             banks != 0; banks &= banks - 1)
+            faultyDevices_[size_t{part.dimm} * geometry_.banksPerDevice +
+                           static_cast<unsigned>(std::countr_zero(banks))] |=
+                1u << part.device;
     }
     faults_.push_back(std::move(fault));
     repaired_.push_back(false);
@@ -65,6 +86,7 @@ FaultSet::clear()
     for (std::vector<uint32_t> &list : byDevice_)
         list.clear();
     offGeometry_.clear();
+    std::fill(faultyDevices_.begin(), faultyDevices_.end(), 0);
 }
 
 void
@@ -100,10 +122,41 @@ FaultSet::probe(const DeviceCoord &coord, bool include_repaired) const
     return stuck;
 }
 
+uint32_t
+FaultSet::probeLine(const LineCoord &coord, bool include_repaired,
+                    StuckBits *stuck) const
+{
+    DeviceCoord device_coord;
+    device_coord.dimm = coord.dimm(geometry_);
+    device_coord.bank = coord.bank;
+    device_coord.row = coord.row;
+    device_coord.colBlock = coord.colBlock;
+    // Off-geometry lines (never produced by an address map) take the
+    // per-device walk: only there can off-geometry parts match.
+    uint32_t candidates =
+        static_cast<uint32_t>(maskBits(geometry_.devicesPerRank()));
+    if (device_coord.dimm < geometry_.dimmsPerNode() &&
+        coord.bank < geometry_.banksPerDevice)
+        candidates = faultyDevices_[size_t{device_coord.dimm} *
+                                        geometry_.banksPerDevice +
+                                    coord.bank];
+    uint32_t stuck_devices = 0;
+    for (; candidates != 0; candidates &= candidates - 1) {
+        device_coord.device =
+            static_cast<unsigned>(std::countr_zero(candidates));
+        stuck[device_coord.device] = probe(device_coord, include_repaired);
+        if (stuck[device_coord.device].mask != 0)
+            stuck_devices |= 1u << device_coord.device;
+    }
+    return stuck_devices;
+}
+
 FunctionalDram::FaultProbe
 FaultSet::makeProbe() const
 {
-    return [this](const DeviceCoord &coord) { return probe(coord); };
+    return [this](const LineCoord &coord, StuckBits *stuck) {
+        return probeLine(coord, true, stuck);
+    };
 }
 
 } // namespace relaxfault

@@ -53,7 +53,17 @@ class FaultSet
     StuckBits probe(const DeviceCoord &coord,
                     bool include_repaired = true) const;
 
-    /** Adapter binding probe() for FunctionalDram. */
+    /**
+     * probe() for every device of one line at once: writes stuck[d] for
+     * each device d that a permanent fault touches in the line's bank,
+     * and returns the mask of the devices whose stuck bits are nonzero
+     * (stuck[d] of any other device is unspecified). A line in a bank no
+     * permanent fault touches returns 0 after one table load.
+     */
+    uint32_t probeLine(const LineCoord &coord, bool include_repaired,
+                       StuckBits *stuck) const;
+
+    /** Adapter binding probeLine(coord, true, stuck) for FunctionalDram. */
     FunctionalDram::FaultProbe makeProbe() const;
 
   private:
@@ -76,6 +86,14 @@ class FaultSet
      */
     std::vector<std::vector<uint32_t>> byDevice_;
     std::vector<uint32_t> offGeometry_;
+    /**
+     * Per (DIMM, bank), the devices a permanent fault has a cluster in:
+     * the only devices whose probe() can be nonzero in that bank, since
+     * a part's sliceMask is zero outside its clusters' banks and an
+     * off-geometry part never matches an in-geometry device. Repair
+     * leaves cells faulty, so only clear() removes bits.
+     */
+    std::vector<uint32_t> faultyDevices_;
 };
 
 } // namespace relaxfault

@@ -225,13 +225,13 @@ FaultRegion::distinctRowCount(const DramGeometry &geometry) const
     return total;
 }
 
-unsigned
-FaultRegion::bankCount() const
+uint32_t
+FaultRegion::bankMask() const
 {
     uint32_t mask = 0;
     for (const auto &cluster : clusters_)
         mask |= cluster.bankMask;
-    return static_cast<unsigned>(std::popcount(mask));
+    return mask;
 }
 
 namespace {

@@ -14,6 +14,7 @@
 #ifndef RELAXFAULT_FAULTS_REGION_H
 #define RELAXFAULT_FAULTS_REGION_H
 
+#include <bit>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -149,8 +150,14 @@ class FaultRegion
     /** Distinct rows used, at (bank,row) granularity. */
     uint64_t distinctRowCount(const DramGeometry &geometry) const;
 
+    /** Banks touched by any cluster (bit i: bank i). */
+    uint32_t bankMask() const;
+
     /** Number of banks touched by any cluster. */
-    unsigned bankCount() const;
+    unsigned bankCount() const
+    {
+        return static_cast<unsigned>(std::popcount(bankMask()));
+    }
 
     /**
      * Number of (bank,row,colBlock) line slices where both regions are

@@ -2,13 +2,18 @@
  * @file
  * Tests for the DRAM substrate: geometry arithmetic, the Fig. 7a address
  * map (bijectivity, locality, bank permutation), the power model, and
- * the functional fault-overlaid DRAM array.
+ * the functional fault-overlaid DRAM array and its line store.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <map>
+#include <tuple>
+#include <vector>
 
+#include "common/line_store.h"
 #include "common/rng.h"
 #include "dram/address_map.h"
 #include "dram/functional_dram.h"
@@ -256,14 +261,13 @@ TEST_F(FunctionalDramTest, FaultProbeCorruptsExactSlice)
     dram_.writeLine(coord, data);
 
     // Device 7 of DIMM 0 has bit 5 stuck at 1 in this slice.
-    dram_.setFaultProbe([&](const DeviceCoord &dc) {
-        StuckBits stuck;
-        if (dc.dimm == 0 && dc.device == 7 && dc.bank == 2 &&
-            dc.row == 42 && dc.colBlock == 9) {
-            stuck.mask = 1u << 5;
-            stuck.value = ~0u;
-        }
-        return stuck;
+    dram_.setFaultProbe([&](const LineCoord &lc, StuckBits *stuck) {
+        if (lc.dimm(geometry_) != 0 || lc.bank != 2 || lc.row != 42 ||
+            lc.colBlock != 9)
+            return 0u;
+        stuck[7].mask = 1u << 5;
+        stuck[7].value = ~0u;
+        return 1u << 7;
     });
 
     uint8_t out[72];
@@ -289,18 +293,132 @@ TEST_F(FunctionalDramTest, StuckAtZeroForcesBitLow)
     uint8_t data[72];
     std::memset(data, 0xff, sizeof(data));
     dram_.writeLine(coord, data);
-    dram_.setFaultProbe([](const DeviceCoord &dc) {
-        StuckBits stuck;
-        if (dc.device == 0) {
-            stuck.mask = 0x3;
-            stuck.value = 0x0;
-        }
-        return stuck;
+    dram_.setFaultProbe([](const LineCoord &, StuckBits *stuck) {
+        stuck[0].mask = 0x3;
+        stuck[0].value = 0x0;
+        return 1u;
     });
     uint8_t out[72];
     dram_.readLine(coord, out);
     EXPECT_EQ(out[0] & 0x3, 0);
     EXPECT_EQ(out[0] & 0xfc, 0xfc);
+}
+
+TEST(FunctionalDramDifferential, MatchesAMapReferenceAcrossIndexGrowth)
+{
+    // Seeded writes, overwrites and reads against a std::map of the
+    // same lines. Over 30,000 distinct lines take the index through at
+    // least 12 doublings and the slab past 30 chunks; reads of never-written
+    // lines must come back zero, and the faulted read path (no probe
+    // installed) must equal the raw one.
+    const DramGeometry geometry;
+    FunctionalDram dram(geometry);
+    const unsigned bytes = dram.storedLineBytes();
+    std::map<std::tuple<unsigned, unsigned, unsigned, unsigned, unsigned>,
+             std::vector<uint8_t>>
+        reference;
+    Rng rng(1818);
+    std::vector<LineCoord> written;
+    auto random_coord = [&] {
+        LineCoord coord;
+        coord.channel =
+            static_cast<unsigned>(rng.uniformInt(geometry.channels));
+        coord.rank =
+            static_cast<unsigned>(rng.uniformInt(geometry.ranksPerChannel));
+        coord.bank =
+            static_cast<unsigned>(rng.uniformInt(geometry.banksPerDevice));
+        coord.row = static_cast<unsigned>(rng.uniformInt(geometry.rowsPerBank));
+        coord.colBlock =
+            static_cast<unsigned>(rng.uniformInt(geometry.colBlocksPerRow));
+        return coord;
+    };
+    auto key = [](const LineCoord &c) {
+        return std::make_tuple(c.channel, c.rank, c.bank, c.row, c.colBlock);
+    };
+    std::vector<uint8_t> line(bytes);
+    std::vector<uint8_t> out(bytes);
+    std::vector<uint8_t> raw(bytes);
+    auto check = [&](const LineCoord &coord) {
+        dram.readLine(coord, out.data());
+        dram.readLineRaw(coord, raw.data());
+        const auto it = reference.find(key(coord));
+        const std::vector<uint8_t> expected =
+            it == reference.end() ? std::vector<uint8_t>(bytes, 0)
+                                  : it->second;
+        ASSERT_EQ(out, expected);
+        ASSERT_EQ(raw, expected);
+    };
+    for (int step = 0; step < 120000; ++step) {
+        const uint64_t action = rng.uniformInt(10);
+        if (action < 4 || written.empty()) {
+            const LineCoord coord = random_coord();
+            for (auto &byte : line)
+                byte = static_cast<uint8_t>(rng.uniformInt(256));
+            dram.writeLine(coord, line.data());
+            if (reference.emplace(key(coord), line).second)
+                written.push_back(coord);
+            else
+                reference[key(coord)] = line;
+        } else if (action < 6) {
+            const LineCoord coord = written[rng.uniformInt(written.size())];
+            for (auto &byte : line)
+                byte = static_cast<uint8_t>(rng.uniformInt(256));
+            dram.writeLine(coord, line.data());
+            reference[key(coord)] = line;
+        } else if (action < 9) {
+            check(written[rng.uniformInt(written.size())]);
+        } else {
+            check(random_coord());  // Almost surely never written.
+        }
+        ASSERT_EQ(dram.allocatedLines(), reference.size());
+    }
+    EXPECT_GT(reference.size(), 30000u);
+    for (const LineCoord &coord : written)
+        check(coord);
+}
+
+TEST(LineStore, KeysAddressesAndContentsSurviveGrowth)
+{
+    // Line addresses are stable (chunks never move), keys come back
+    // sorted, and a rewrite changes the content in place.
+    LineStore store(64);
+    std::map<uint64_t, std::array<uint8_t, 64>> reference;
+    std::map<uint64_t, const uint8_t *> address;
+    Rng rng(64);
+    std::array<uint8_t, 64> line{};
+    for (int i = 0; i < 5000; ++i) {
+        const uint64_t key = rng.next() >> rng.uniformInt(64);
+        if (key == LineStore::kEmptyKey)
+            continue;
+        for (auto &byte : line)
+            byte = static_cast<uint8_t>(rng.uniformInt(256));
+        const uint8_t *stored = store.store(key, line.data());
+        if (const auto it = address.find(key); it != address.end()) {
+            ASSERT_EQ(stored, it->second);
+        }
+        address[key] = stored;
+        reference[key] = line;
+        ASSERT_EQ(store.size(), reference.size());
+    }
+    for (const auto &[key, expected] : reference) {
+        ASSERT_EQ(store.find(key), address[key]);
+        ASSERT_EQ(std::memcmp(store.find(key), expected.data(), 64), 0);
+    }
+    std::vector<uint64_t> keys;
+    for (const auto &[key, expected] : reference)
+        keys.push_back(key);
+    EXPECT_EQ(store.sortedKeys(), keys);
+    EXPECT_EQ(store.find(LineStore::kEmptyKey - 1),
+              reference.count(LineStore::kEmptyKey - 1) != 0
+                  ? address[LineStore::kEmptyKey - 1]
+                  : nullptr);
+}
+
+TEST(LineStoreDeathTest, AllOnesKeyIsRefused)
+{
+    LineStore store(8);
+    const uint8_t line[8] = {};
+    EXPECT_DEATH(store.store(LineStore::kEmptyKey, line), "reserved");
 }
 
 } // namespace
